@@ -17,13 +17,14 @@ checks the zero-cost-tracing contract: the fast engine with a disabled
 throughput within noise of the untraced fast path (gated at
 ``--nulltracer-threshold``, best-of-``--repeats``).
 
-The standalone run then gates the kernel replay tier: ``engine=
-"kernel"`` must be byte-identical to the fast engine across the full
-mechanism matrix (utlb vectorized, intr falling back), and the
-utlb-only replay must be at least ``--min-kernel-speedup`` times
-faster than the fast engine (best-of-repeats).  The sweep-grid phase
-re-runs the grid under the kernel engine and checks the runner
-kernel-plans every utlb cell.
+The standalone run then gates single-cell solves: each trace under each
+mechanism, run as a batch of one through :class:`SweepRunner`, must be
+byte-identical to fast replay (utlb solved as an analytic axis of one,
+intr replayed), and the single-cell utlb solve must be at least
+``--min-single-cell-speedup`` times faster than fast replay
+(best-of-repeats).  The sweep-grid phase re-runs the grid with the
+solver off and checks the default runner batch-solves every utlb cell
+with identical results.
 
 It also gates the analytic axis solver: the utlb
 cache-size axis of the grid (per app, every ``GRID_CACHE_ENTRIES``
@@ -45,10 +46,12 @@ archive the throughput trajectory (``BENCH_*.json``).
 """
 
 import argparse
+import gc
 import json
 import time
 
 from repro.obs.tracer import NullTracer
+from repro.sim.analytic import plan_axes, solve_axis_node
 from repro.sim.config import SimConfig
 from repro.sim.intr_simulator import simulate_node_intr
 from repro.sim.runner import SweepCell, SweepRunner
@@ -96,10 +99,9 @@ def _replay_all(traces, engine, tracer=None):
     return json.dumps(stats, sort_keys=True)
 
 
-def _replay_utlb(traces, engine):
-    """Replay the utlb mechanism only — the kernel tier's home turf
-    (intr rides the fast path under every engine)."""
-    config = SimConfig(engine=engine)
+def _replay_utlb(traces):
+    """Fast replay of the utlb mechanism only, one node dict per app."""
+    config = SimConfig()
     stats = {
         app: simulate_node(records, config).to_dict()
         for app, records in traces.items()
@@ -107,45 +109,76 @@ def _replay_utlb(traces, engine):
     return json.dumps(stats, sort_keys=True)
 
 
-def _time_utlb(traces, engine, repeats):
+def _solve_utlb(traces):
+    """The same utlb cells, each planned and solved as an axis of one
+    (compile plus one pass, as fast replay is compile plus replay)."""
+    stats = {}
+    for app, records in traces.items():
+        cell = SweepCell(app, {0: records}, SimConfig(), "utlb")
+        (axis,), _ = plan_axes([cell], [0], [cell.config], id)
+        stats[app] = solve_axis_node(compile_streams(records), axis.spec)[0]
+    return json.dumps(stats, sort_keys=True)
+
+
+def _solve_all(traces):
+    """Every trace under both mechanisms, one single-cell batch each
+    through the default runner; ``_replay_all``'s JSON shape."""
+    stats = {}
+    solved = 0
+    for app, records in traces.items():
+        stats[app] = {}
+        for mechanism in ("utlb", "intr"):
+            runner = SweepRunner()
+            result = runner.run({0: records}, SimConfig(), mechanism)
+            stats[app][mechanism] = result.to_dict()["nodes"][0]
+            solved += runner.metrics.analytic_cells
+    if solved != len(traces):
+        raise SystemExit(
+            "FAIL: runner solved %d single cells, expected %d (every utlb cell)"
+            % (solved, len(traces))
+        )
+    return json.dumps(stats, sort_keys=True)
+
+
+def _best_of(function, traces, repeats):
+    """Best-of-``repeats`` wall time (deterministic work, noisy machines)."""
     best = None
     stats = None
     for _ in range(repeats):
         start = time.perf_counter()
-        stats = _replay_utlb(traces, engine)
+        stats = function(traces)
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
     return stats, best
 
 
-def _kernel_speedup(traces, repeats, min_speedup):
-    """The kernel-parity gate plus the kernel-vs-fast speedup point.
+def _single_cell_speedup(traces, repeats, min_speedup):
+    """The single-cell parity gate plus the solve-vs-fast speedup point.
 
-    Parity covers the full mechanism matrix (``_replay_all`` exercises
-    the intr fallback too); the timed comparison replays utlb only, the
-    slice the kernel tier actually vectorizes.
+    Parity covers the full mechanism matrix (utlb solved, intr replayed
+    by the same runner); the timed comparison is utlb only, the slice
+    the solver answers.
     """
-    kernel_all, _ = _time_engine(traces, "kernel", repeats)
-    fast_all, _ = _time_engine(traces, "fast", repeats)
-    if kernel_all != fast_all:
-        raise SystemExit("FAIL: kernel engine diverged from the fast engine")
-    fast_stats, fast_s = _time_utlb(traces, "fast", repeats)
-    kernel_stats, kernel_s = _time_utlb(traces, "kernel", repeats)
-    if kernel_stats != fast_stats:
-        raise SystemExit("FAIL: kernel utlb replay diverged from the fast engine")
-    speedup = fast_s / kernel_s
-    print("kernel engine byte-identical to fast (utlb + intr fallback)")
+    if _solve_all(traces) != _replay_all(traces, "fast"):
+        raise SystemExit("FAIL: single-cell batches diverged from the fast engine")
+    fast_stats, fast_s = _best_of(_replay_utlb, traces, repeats)
+    solved_stats, solved_s = _best_of(_solve_utlb, traces, repeats)
+    if solved_stats != fast_stats:
+        raise SystemExit("FAIL: single-cell utlb solve diverged from the fast engine")
+    speedup = fast_s / solved_s
+    print("single-cell batches byte-identical to fast (utlb solved, intr replayed)")
     print(
-        "  utlb replay: fast %.3fs  kernel %.3fs  speedup %.1fx"
-        % (fast_s, kernel_s, speedup)
+        "  utlb: fast replay %.3fs  single-cell solve %.3fs  speedup %.1fx"
+        % (fast_s, solved_s, speedup)
     )
     if speedup < min_speedup:
         raise SystemExit(
-            "FAIL: kernel speedup %.1fx below threshold %.1fx" % (speedup, min_speedup)
+            "FAIL: single-cell solve speedup %.1fx below threshold %.1fx"
+            % (speedup, min_speedup)
         )
     return {
         "fast_s": fast_s,
-        "kernel_s": kernel_s,
+        "analytic_s": solved_s,
         "speedup": speedup,
     }
 
@@ -164,7 +197,7 @@ def bench_replay_reference_engine(benchmark):
     benchmark.extra_info["pages"] = _total_pages(traces)
 
 
-def _grid_cells(traces, engine="fast"):
+def _grid_cells(traces):
     """The sweep grid, sharing one record list per app across all cells
     (what lets the batch compile each trace once)."""
     cells = []
@@ -176,17 +209,17 @@ def _grid_cells(traces, engine="fast"):
                     SweepCell(
                         "%s/%s/%d" % (app, mechanism, entries),
                         node_traces,
-                        SimConfig(engine=engine, cache_entries=entries),
+                        SimConfig(cache_entries=entries),
                         mechanism,
                     )
                 )
     return cells
 
 
-def _run_grid(traces, workers, engine="fast", analytic=True):
+def _run_grid(traces, workers, analytic=True):
     """Run the grid uncached; returns (sorted-keys results JSON, metrics)."""
     with SweepRunner(workers=workers, cache_dir=None, analytic=analytic) as runner:
-        results = runner.run_cells(_grid_cells(traces, engine))
+        results = runner.run_cells(_grid_cells(traces))
         payload = json.dumps([r.to_dict() for r in results], sort_keys=True)
         return payload, runner.metrics
 
@@ -265,28 +298,24 @@ def _axis_speedup(traces, repeats, min_speedup):
     }
 
 
-def _kernel_grid(traces, serial_payload):
-    """Run the grid under ``engine="kernel"``: the runner must tag the
-    utlb cells as kernel-planned and the results must stay identical.
-
-    The analytic solver is disabled for this phase — it outranks the
-    kernel tier (a cache-size axis is answered in one shared pass), so
-    leaving it on would lift exactly the kernel-eligible cells out of
-    replay and the planning under test would never run."""
-    payload, metrics = _run_grid(traces, workers=1, engine="kernel", analytic=False)
+def _solved_grid(traces, serial_payload, serial_metrics):
+    """The default runner must batch-solve every utlb grid cell, and the
+    grid must be byte-identical to per-cell replay (``analytic=False``)."""
+    payload, _ = _run_grid(traces, workers=1, analytic=False)
     if payload != serial_payload:
-        raise SystemExit("FAIL: kernel-engine sweep grid diverged from the fast grid")
+        raise SystemExit("FAIL: batch-solved sweep grid diverged from per-cell replay")
     expected = len(APPS) * len(GRID_CACHE_ENTRIES)
-    if metrics.kernel_cells != expected:
+    solved = serial_metrics.analytic_cells
+    if solved != expected:
         raise SystemExit(
-            "FAIL: runner planned %d kernel cells, expected %d (every "
-            "utlb cell)" % (metrics.kernel_cells, expected)
+            "FAIL: runner solved %d grid cells, expected %d (every "
+            "utlb cell)" % (solved, expected)
         )
     print(
-        "kernel-engine grid byte-identical to fast (%d of %d cells "
-        "kernel-planned)" % (metrics.kernel_cells, len(metrics.cells))
+        "batch-solved grid byte-identical to replay (%d of %d cells "
+        "solved)" % (solved, len(serial_metrics.cells))
     )
-    return metrics.kernel_cells
+    return solved
 
 
 def _sweep_grid(
@@ -294,13 +323,19 @@ def _sweep_grid(
     workers,
     metrics_json=None,
     axis_speedup=None,
-    kernel_speedup=None,
+    single_cell_speedup=None,
     bench_scale=BENCH_SCALE,
     bench_seed=BENCH_SEED,
 ):
     """The shared-stream fan-out check: parallel == serial, one compile
     per distinct trace, metrics optionally archived as JSON."""
-    serial_payload, _ = _run_grid(traces, workers=1)
+    serial_payload, serial_metrics = _run_grid(traces, workers=1)
+    # The pool forks from this process, and workers inherit its garbage
+    # collector state: one left near a full collection makes every
+    # worker traverse (and copy-on-write) the whole inherited heap.
+    # Collect first so the timed grid does not depend on what earlier
+    # phases allocated.
+    gc.collect()
     payload, metrics = _run_grid(traces, workers=workers)
     if payload != serial_payload:
         raise SystemExit(
@@ -311,7 +346,7 @@ def _sweep_grid(
             "FAIL: batch compiled %d traces, expected %d (one per "
             "distinct node trace)" % (metrics.compile_count, len(APPS))
         )
-    kernel_cells = _kernel_grid(traces, serial_payload)
+    solved_cells = _solved_grid(traces, serial_payload, serial_metrics)
     totals = metrics.to_dict()["totals"]
     print(
         "sweep grid (%d cells, workers=%d) byte-identical to serial"
@@ -332,15 +367,15 @@ def _sweep_grid(
         archive = metrics.to_dict()
         if axis_speedup is not None:
             archive["analytic_axis_speedup"] = axis_speedup
-        if kernel_speedup is not None:
-            archive["kernel_speedup"] = kernel_speedup
+        if single_cell_speedup is not None:
+            archive["single_cell_speedup"] = single_cell_speedup
         archive["bench"] = {
             "kind": "replay-grid",
             "apps": list(APPS),
-            "engines": ["fast", "kernel"],
+            "engines": ["fast", "analytic"],
             "grid_cache_entries": list(GRID_CACHE_ENTRIES),
             "axis_cache_entries": list(AXIS_CACHE_ENTRIES),
-            "kernel_grid_cells": kernel_cells,
+            "solved_grid_cells": solved_cells,
             "scale": bench_scale,
             "seed": bench_seed,
             "workers": workers,
@@ -351,15 +386,7 @@ def _sweep_grid(
 
 
 def _time_engine(traces, engine, repeats, tracer=None):
-    """Best-of-``repeats`` wall time (deterministic work, noisy machines)."""
-    best = None
-    stats = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        stats = _replay_all(traces, engine, tracer)
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return stats, best
+    return _best_of(lambda t: _replay_all(t, engine, tracer), traces, repeats)
 
 
 def main(argv=None):
@@ -403,12 +430,12 @@ def main(argv=None):
         "the recorded ratio is the real one)",
     )
     parser.add_argument(
-        "--min-kernel-speedup",
+        "--min-single-cell-speedup",
         type=float,
         default=1.5,
-        help="minimum kernel-engine speedup over the "
-        "fast engine on the utlb replay (parity is "
-        "always gated; the recorded ratio is the "
+        help="minimum single-cell analytic solve speedup "
+        "over fast replay of the same utlb cells (parity "
+        "is always gated; the recorded ratio is the "
         "real one)",
     )
     args = parser.parse_args(argv)
@@ -443,14 +470,16 @@ def main(argv=None):
             "(threshold %.2f)" % (ratio, args.nulltracer_threshold)
         )
 
-    kernel_speedup = _kernel_speedup(traces, args.repeats, args.min_kernel_speedup)
+    single_cell_speedup = _single_cell_speedup(
+        traces, args.repeats, args.min_single_cell_speedup
+    )
     axis_speedup = _axis_speedup(traces, args.repeats, args.min_axis_speedup)
     _sweep_grid(
         traces,
         args.workers,
         args.metrics_json,
         axis_speedup,
-        kernel_speedup,
+        single_cell_speedup,
         bench_scale=args.scale,
         bench_seed=args.seed,
     )

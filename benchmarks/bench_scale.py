@@ -4,9 +4,10 @@ Drives the trace pipeline end to end at datacenter-ish trace lengths
 (default: the zipf-kv workload at 20x+ the largest Table 3 lookup
 count) and records *memory* alongside throughput.  Generation runs the
 parallel per-process path (``--gen-workers``, byte-identical to the
-serial streaming compile; 0 forces serial) and replay runs the engine
-axis (``--engine fast|kernel|both``; ``both`` asserts byte-identity at
-scale and reports the kernel run).  Alongside the timings:
+serial streaming compile; 0 forces serial) and replay runs the tier
+axis (``--engine fast|analytic|both``: fast replay, or the cell solved
+as an analytic axis of one; ``both`` asserts byte-identity at scale and
+reports the analytic run).  Alongside the timings:
 
 * peak RSS (``getrusage``) is sampled after generate+compile+publish —
   the phase whose footprint used to be O(records) — and gated against
@@ -43,8 +44,10 @@ import time
 import tracemalloc
 from multiprocessing import get_context
 
+from repro.sim.analytic import plan_axes, solve_axis_node
 from repro.sim.config import SimConfig
-from repro.sim.simulator import simulate_node
+from repro.sim.runner import SweepCell
+from repro.sim.simulator import NodeResult, simulate_node
 from repro.sim.stream_store import SharedStreamStore
 from repro.traces.compile import (
     DEFAULT_CHUNK_RECORDS,
@@ -95,6 +98,17 @@ def _eager_peak_rss_kb(scale, seed):
         return pool.apply(_eager_probe, (scale, seed))
 
 
+def _replay(engine, source, compiled):
+    """One default utlb cell over ``compiled``: fast replay, or the
+    runner's plan for it (an analytic axis of one) solved in one pass."""
+    config = SimConfig()
+    if engine == "fast":
+        return simulate_node(source, config, compiled=compiled)
+    cell = SweepCell("scale", {0: source}, config, "utlb")
+    (axis,), _ = plan_axes([cell], [0], [config], id)
+    return NodeResult.from_dict(solve_axis_node(compiled, axis.spec)[0])
+
+
 def _tracemalloc_peak_kb(source, chunk_records):
     """Python-heap peak of one generate+compile pass, in KB (untimed)."""
     tracemalloc.start()
@@ -142,11 +156,11 @@ def main(argv=None):
     )
     parser.add_argument(
         "--engine",
-        choices=("fast", "kernel", "both"),
+        choices=("fast", "analytic", "both"),
         default="both",
-        help="replay engine; 'both' replays fast and kernel, asserts "
-        "byte-identical results, and reports the headline numbers from "
-        "the kernel run (default)",
+        help="replay tier; 'both' runs fast replay and the single-cell "
+        "analytic solve, asserts byte-identical results, and reports the "
+        "headline numbers from the analytic run (default)",
     )
     parser.add_argument(
         "--gen-workers",
@@ -195,7 +209,7 @@ def main(argv=None):
     # Phase 2: publish to the shared-memory store and swap to a view,
     # exactly like a pooled SweepRunner batch — then sample the gated
     # peak: everything the parent ever held to get replay-ready.
-    engines = ("fast", "kernel") if args.engine == "both" else (args.engine,)
+    engines = ("fast", "analytic") if args.engine == "both" else (args.engine,)
     store = SharedStreamStore()
     try:
         store.publish("bench", compiled)
@@ -203,31 +217,29 @@ def main(argv=None):
         peak_kb = _peak_rss_kb()
         ceiling_kb = args.ceiling_mb * 1024
 
-        # Phase 3 (timed): replay through the requested engine(s)
+        # Phase 3 (timed): replay through the requested tier(s)
         # against the shared view (the store outlives the replay, like
         # a batch).  With --engine both the results must be
-        # byte-identical and the kernel run is the headline.
+        # byte-identical and the analytic run is the headline.
         replay_times = {}
         results = {}
         for engine in engines:
-            config = SimConfig(engine=engine)
             start = time.perf_counter()
-            result = simulate_node(source, config, compiled=compiled)
+            results[engine] = _replay(engine, source, compiled)
             replay_times[engine] = time.perf_counter() - start
-            results[engine] = result
     finally:
         store.close()
     if len(results) > 1:
         dicts = [json.dumps(r.to_dict(), sort_keys=True) for r in results.values()]
         if len(set(dicts)) != 1:
-            raise SystemExit("FAIL: fast and kernel replay diverged at scale")
+            raise SystemExit("FAIL: fast replay and analytic solve diverged at scale")
         print(
-            "fast and kernel replays byte-identical "
-            "(fast %.2fs, kernel %.2fs, %.1fx)"
+            "fast replay and analytic solve byte-identical "
+            "(fast %.2fs, analytic %.2fs, %.1fx)"
             % (
                 replay_times["fast"],
-                replay_times["kernel"],
-                replay_times["fast"] / replay_times["kernel"],
+                replay_times["analytic"],
+                replay_times["fast"] / replay_times["analytic"],
             )
         )
     headline = engines[-1]
@@ -289,8 +301,8 @@ def main(argv=None):
                 },
                 "cache_hits": 0,
                 "cache_misses": 1,
-                "analytic_axes": 0,
-                "analytic_cells": 0,
+                "analytic_axes": int(headline == "analytic"),
+                "analytic_cells": int(headline == "analytic"),
             },
             "memory": {
                 "baseline_rss_kb": baseline_kb,

@@ -30,8 +30,8 @@ Two axis kinds are solved:
   distinct ``(num_sets, offsetting)`` geometry one pass computes each
   access's within-set LRU recency depth (bounded at the axis's largest
   associativity): depth ``>= A`` means a miss at associativity ``A``.
-  With numpy available the ubiquitous direct-mapped case vectorizes to
-  a stable sort by set index plus adjacent comparisons.
+  The ubiquitous direct-mapped case vectorizes to a stable sort by set
+  index plus adjacent comparisons.
 
 The materialized per-cell ``NodeResult`` dicts are **byte-identical** to
 the fast engine's — same counters, same bit-exact float time fields
@@ -41,9 +41,11 @@ merged node stats sum the per-pid floats in sorted-pid order, exactly as
 cell by cell.
 
 :func:`plan_axes` is the :class:`~repro.sim.runner.SweepRunner`'s
-planner: it groups a batch's pending cells into eligible axes and leaves
-everything else (other mechanisms, non-LRU policies, prefetch/prepin
-batching, classification, tracing, reference engine) to per-cell replay.
+planner: it puts every eligible pending cell on exactly one axis — a
+lone cell is an axis of one — and leaves everything else (other
+mechanisms, non-LRU policies, prefetch/prepin batching, classification,
+tracing, reference engine, pinning limits on a set-associative cache)
+to per-cell replay.
 """
 
 import json
@@ -62,11 +64,6 @@ from repro.sim.kernels import (
     stream_firsts,
 )
 from repro.sim.mechanisms import lookup as lookup_mechanism
-
-#: Minimum cells before a group is worth one analytic pass; singletons
-#: replay (one pass of either engine costs about the same, and replay is
-#: the better-tested path).
-AXIS_MIN_CELLS = 2
 
 #: The config fields a cache axis varies; everything else must match.
 CACHE_AXIS_FIELDS = ("cache_entries", "associativity", "offsetting")
@@ -108,69 +105,59 @@ def cell_eligible(config, mechanism):
 
 
 def plan_axes(cells, pending, configs, fingerprint):
-    """Group pending cells into analytic axes; returns ``(axes, rest)``.
+    """Put every eligible pending cell on one axis; returns ``(axes, rest)``.
 
-    Two cells join the same axis when they replay the identical traces
-    (by content fingerprint) under configs that differ *only* in the
-    axis field(s): ``memory_limit_bytes`` for a memory axis (which also
-    needs a direct-mapped cache), or ``(cache_entries, associativity,
-    offsetting)`` for a cache axis (which needs no pinning limit).
-    Memory axes claim cells first; ``rest`` preserves ``pending``'s
-    order for the per-cell replay fallback.
+    The cell's shape picks the axis kind: a cell with a pinning limit
+    on a direct-mapped cache joins a memory axis, and a cell with no
+    limit joins a cache axis.  Two cells share an axis when they replay
+    the identical traces (by content fingerprint) under configs that
+    differ *only* in that kind's field(s): ``memory_limit_bytes``, or
+    ``(cache_entries, associativity, offsetting)``.  An axis of one cell
+    is solved too — its single pass is still cheaper than a replay.
+    ``rest`` preserves ``pending``'s order for per-cell replay.
     """
-    mem_groups = {}
-    cache_groups = {}
+    groups = {}
     for index in pending:
         cell = cells[index]
         config = configs[index]
+        if config.memory_limit_bytes is None:
+            kind, fields = "cache", CACHE_AXIS_FIELDS
+        elif config.associativity == 1:
+            kind, fields = "memory", ("memory_limit_bytes",)
+        else:
+            continue
         if not cell_eligible(config, cell.mechanism):
             continue
         sig = tuple((node, fingerprint(cell.traces[node]))
                     for node in sorted(cell.traces))
-        base = config.to_dict()
-        if config.associativity == 1:
-            rest = dict(base)
-            del rest["memory_limit_bytes"]
-            key = (sig, json.dumps(rest, sort_keys=True))
-            mem_groups.setdefault(key, []).append(index)
-        if config.memory_limit_bytes is None:
-            rest = dict(base)
-            for field in CACHE_AXIS_FIELDS:
-                del rest[field]
-            key = (sig, json.dumps(rest, sort_keys=True))
-            cache_groups.setdefault(key, []).append(index)
+        rest = config.to_dict()
+        for field in fields:
+            del rest[field]
+        key = (kind, sig, json.dumps(rest, sort_keys=True))
+        groups.setdefault(key, []).append(index)
 
     axes = []
-    claimed = set()
-    for members in mem_groups.values():
-        if len(members) < AXIS_MIN_CELLS:
-            continue
+    for (kind, _sig, _rest), members in groups.items():
         config0 = configs[members[0]]
-        axes.append(AnalyticAxis("memory", members, {
-            "kind": "memory",
-            "num_sets": config0.cache_entries,      # direct-mapped
-            "offsetting": bool(config0.offsetting),
-            "limits": [configs[m].memory_limit_pages for m in members],
-            "unit_costs": config0.cost_model.unit_costs(),
-        }))
-        claimed.update(members)
-    for members in cache_groups.values():
-        members = [m for m in members if m not in claimed]
-        if len(members) < AXIS_MIN_CELLS:
-            continue
-        config0 = configs[members[0]]
-        axes.append(AnalyticAxis("cache", members, {
-            "kind": "cache",
-            "geometries": [[configs[m].cache_entries,
-                            configs[m].associativity,
-                            bool(configs[m].offsetting)]
-                           for m in members],
-            "unit_costs": config0.cost_model.unit_costs(),
-        }))
-        claimed.update(members)
+        if kind == "memory":
+            spec = {
+                "kind": "memory",
+                "num_sets": config0.cache_entries,      # direct-mapped
+                "offsetting": bool(config0.offsetting),
+                "limits": [configs[m].memory_limit_pages for m in members],
+            }
+        else:
+            spec = {
+                "kind": "cache",
+                "geometries": [[configs[m].cache_entries,
+                                configs[m].associativity,
+                                bool(configs[m].offsetting)]
+                               for m in members],
+            }
+        spec["unit_costs"] = config0.cost_model.unit_costs()
+        axes.append(AnalyticAxis(kind, members, spec))
 
-    if not claimed:
-        return [], pending
+    claimed = {m for axis in axes for m in axis.indices}
     return axes, [i for i in pending if i not in claimed]
 
 

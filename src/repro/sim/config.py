@@ -7,12 +7,10 @@ from repro.sim.mechanisms import resolve
 
 
 #: Valid trace-replay engines: ``fast`` (compiled page streams with a
-#: counter-only hot path), ``kernel`` (fast plus vectorized numpy batch
-#: kernels for the cells they model — everything else falls back to the
-#: fast path) and ``reference`` (record-at-a-time replay through the
-#: full :class:`HierarchicalUtlb` machinery).  All three are
+#: counter-only hot path) and ``reference`` (record-at-a-time replay
+#: through the full :class:`HierarchicalUtlb` machinery).  Both are
 #: bit-identical in output; ``reference`` exists as the oracle.
-ENGINES = ("fast", "kernel", "reference")
+ENGINES = ("fast", "reference")
 
 
 class SimConfig:
@@ -166,6 +164,8 @@ class SimConfig:
                    self.engine))
         if self.mechanism != "utlb":
             text += " mech=%s" % (self.mechanism,)
+        if self.classify:
+            text += " classify"
         if self.traced:
             text += " traced"
         return text

@@ -28,10 +28,9 @@ def simulate_node_intr(records, config, check_invariants=False,
     Engine dispatch matches the UTLB simulator: the fast counter-only
     path needs a direct-mapped cache, no classifier, and no enabled
     tracer (``config.traced`` routes through the reference path, which
-    emits the full event stream).  ``engine="kernel"`` rides the fast
-    path — this mechanism registers no batch kernel.
+    emits the full event stream).
     """
-    fast = (config.engine in ("fast", "kernel")
+    fast = (config.engine == "fast"
             and config.associativity == 1
             and not config.classify and not config.traced)
     if not fast:

@@ -1,93 +1,36 @@
-"""Vectorized batch kernels: the ``engine="kernel"`` replay tier.
+"""The pass machinery of the analytic axis solver.
 
-The fast engine still walks one lookup at a time — a Python loop of
-dict probes over the compiled interleaved arrays.  For the shadow-
-eligible case (``utlb``, untraced, default :class:`SharedUtlbCache`,
-no pinning limit) the whole replay is a pure function of the page
-stream, so it vectorizes: compute every lookup's set index with batch
-index math, then derive hits and misses per ``(pid, set)`` via
-*previous-occurrence analysis* — a stable argsort over ``set_index``
-keeps time order within each set, so an access misses iff it is the
-set's first or the previous same-set access held a different key
-(direct-mapped, exactly); set-associative cells compare within-set
-recency depth against the associativity using the same stack machinery
-the analytic solver uses.  The counters then feed the identical
-counter→:class:`~repro.core.costs.CostModel` tail as the fast engine,
-so the materialized :class:`~repro.sim.simulator.NodeResult` dict is
-**byte-identical** — same integers, same bit-exact ``*_time_us`` floats
-(:func:`~repro.core.costs.accumulated_cost`).
+:mod:`repro.sim.analytic` answers utlb cells from one pass over a node's
+compiled page streams instead of a replay.  This module holds the parts
+of that pass that do not depend on the axis kind: the collision-free
+``(pid, page)`` key packing, the per-process set offsets mirroring NIC
+registration order, the distinct-page counts (compulsory check misses),
+the NIC-cache pass itself, and the helpers that materialize a cell's
+``NodeResult.to_dict()`` twin from counts.
 
-This module is also the home of the machinery the analytic axis solver
-shares with the kernel tier (it grew up in ``sim/analytic.py``): the
-collision-free ``(pid, page)`` key packing, the per-process set offsets
-mirroring NIC registration order, the cache passes themselves, and the
-byte-identical materialization helpers.  ``sim/analytic.py`` imports
-them from here; nothing here imports the mechanism registry or the
-simulators, so the kernel tier sits below both.
+The direct-mapped cache pass vectorizes with numpy: a stable argsort
+over each lookup's set index keeps time order within every set, so an
+access misses iff it is the set's first or the previous same-set access
+held a different key (*previous-occurrence analysis*).  Set-associative
+passes keep a bounded per-set recency list in pure Python.  The counters
+then feed the same counter-to-cost tail as the fast engine, so the
+materialized dicts are **byte-identical** to fast replay: same integers,
+same bit-exact ``*_time_us`` floats (:func:`~repro.core.costs.accumulated_cost`).
 
-Eligibility is wired as the ``kernel_eligible`` predicate on the
-:class:`~repro.sim.mechanisms.Mechanism` descriptor: only ``utlb`` opts
-in, and only on the fast engine's default path (unclassified, one page
-per pin call and one entry per miss fetch, LRU pin policy by name, no
-pinning limit) with numpy importable.  Everything else — tracers,
-custom cache factories, prefetch/prepin batching, memory limits —
-falls back to the fast or reference engines unchanged; ``kernel`` is
-``fast`` plus an optimization, never a model change.
+Nothing here imports the mechanism registry or the simulators, so the
+solver's machinery sits below both.  numpy is imported on first use, so
+importing the package stays cheap for runs that never solve a cell.
 """
 
 from repro import params
 from repro.core.costs import accumulated_cost
 from repro.core.shared_cache import SharedUtlbCache
 from repro.core.stats import TranslationStats
-from repro.errors import CapacityError
 
 OFFSET_MULTIPLIER = SharedUtlbCache.OFFSET_MULTIPLIER
 
-_NUMPY = None
-_NUMPY_CHECKED = False
-
-
-def _numpy():
-    """The numpy module, or None (an optional accelerator, never a
-    dependency — every kernel keeps a pure-Python fallback)."""
-    global _NUMPY, _NUMPY_CHECKED
-    if not _NUMPY_CHECKED:
-        _NUMPY_CHECKED = True
-        try:
-            import numpy
-        except ImportError:
-            numpy = None
-        _NUMPY = numpy
-    return _NUMPY
-
-
-def kernel_available():
-    """True when the vectorized kernels can run (numpy importable)."""
-    return _numpy() is not None
-
-
-def utlb_kernel_eligible(config):
-    """May the batch kernel answer this ``utlb`` cell?
-
-    Exactly the fast engine's default no-limit path: unclassified, one
-    page per pin call and one entry per miss fetch, LRU pinned-page
-    replacement by *name* (policy instances may diverge from the
-    modeled LRU), and no pinning limit (a limit makes unpin order part
-    of the result; those cells replay).  Engine and tracer gating live
-    on the :class:`~repro.sim.mechanisms.Mechanism` descriptor.
-    """
-    return (
-        config.memory_limit_bytes is None
-        and not config.classify
-        and config.prefetch == 1
-        and config.prepin == 1
-        and config.pin_policy == "lru"
-        and kernel_available()
-    )
-
-
 # ---------------------------------------------------------------------------
-# Shared index math (the analytic solver imports these)
+# Shared index math
 # ---------------------------------------------------------------------------
 
 
@@ -120,17 +63,12 @@ def pid_offsets(compiled, num_sets, offsetting):
 def stream_firsts(compiled):
     """Distinct pages per dense pid index (compulsory check misses).
 
-    The vectorized form sorts the packed ``(pid, page)`` keys once and
-    counts boundaries per pid; the fallback is the obvious per-stream
-    ``len(set(...))``.  Both return plain ints, identical either way.
+    Sorts the packed ``(pid, page)`` keys once and counts boundaries per
+    pid; returns plain ints.  The trace must hold at least one lookup.
     """
-    numpy = _numpy()
-    views = (
-        compiled.numpy_views() if numpy is not None and compiled.total_pages else None
-    )
-    if views is None:
-        return [len(set(compiled.streams[pid])) for pid in compiled.pid_order]
-    idx, pages = views
+    import numpy
+
+    idx, pages = compiled.numpy_views()
     shift = numpy.uint64(key_shift(compiled))
     keys = numpy.sort((idx.astype(numpy.uint64) << shift) | pages)
     new = numpy.empty(len(keys), dtype=bool)
@@ -160,19 +98,19 @@ def cache_pass(compiled, num_sets, offsetting, amax):
     key is filled at least once and sets only lose entries to
     invalidation (never here: no pinning limit, no unpins).
     """
-    views = compiled.numpy_views() if (amax == 1 and _numpy() is not None) else None
-    if views is not None:
-        return _cache_pass_numpy(compiled, views, num_sets, offsetting)
+    if amax == 1:
+        return _cache_pass_numpy(compiled, num_sets, offsetting)
     return _cache_pass_python(compiled, num_sets, offsetting, amax)
 
 
-def _cache_pass_numpy(compiled, views, num_sets, offsetting):
+def _cache_pass_numpy(compiled, num_sets, offsetting):
     """Vectorized direct-mapped pass: stable sort by set, compare
     neighbours.  Within one set the stable order is time order, so an
     access misses iff it is the set's first or the previous same-set
     access used a different key."""
-    numpy = _numpy()
-    idx, pages = views
+    import numpy
+
+    idx, pages = compiled.numpy_views()
     if offsetting:
         offsets = numpy.array(pid_offsets(compiled, num_sets, True), dtype=numpy.uint64)
         hashed = pages + offsets[idx]
@@ -347,39 +285,3 @@ def materialize_cache(compiled, geometry, pass_data, n, firsts, unit):
     )
     evictions = misses - occupied
     return node_dict(rows, cache_dict(accesses, misses, evictions, 0))
-
-
-# ---------------------------------------------------------------------------
-# The per-cell replay kernel
-# ---------------------------------------------------------------------------
-
-
-def replay_node_dict(compiled, config):
-    """One eligible cell, answered entirely from its compiled streams.
-
-    Returns a ``NodeResult.to_dict()``-shaped dict byte-identical to
-    what fast replay of the same cell would produce: with no pinning
-    limit every distinct page is a compulsory check miss (= one pin),
-    nothing is ever unpinned or invalidated, NIC misses come from the
-    previous-occurrence cache pass, and final occupancy (for the
-    eviction count) from the same pass's per-set key counts.  The
-    caller has already established eligibility
-    (:func:`utlb_kernel_eligible` plus the engine/tracer gate).
-    """
-    if len(compiled.pids) > params.MAX_PROCESSES_PER_NIC:
-        raise CapacityError(
-            "node trace has %d processes; the NIC tag space holds %d"
-            % (len(compiled.pids), params.MAX_PROCESSES_PER_NIC)
-        )
-    if not compiled.pids:
-        return node_dict([], cache_dict(0, 0, 0, 0))
-    unit = config.cost_model.unit_costs()
-    assoc = config.associativity
-    geometry = (config.cache_entries, assoc, bool(config.offsetting))
-    num_sets = config.cache_entries // assoc
-    pass_data = {
-        (num_sets, geometry[2]): cache_pass(compiled, num_sets, geometry[2], assoc),
-    }
-    n = [len(compiled.streams[pid]) for pid in compiled.pid_order]
-    firsts = stream_firsts(compiled)
-    return materialize_cache(compiled, geometry, pass_data, n, firsts, unit)

@@ -53,7 +53,6 @@ from repro.core.utopia import UtopiaCache
 from repro.core.victima import VictimaCache
 from repro.errors import ConfigError
 from repro.sim import intr_simulator as _intr
-from repro.sim import kernels as _kernels
 from repro.sim import pp_simulator as _pp
 from repro.sim import simulator as _sim
 
@@ -83,16 +82,10 @@ class Mechanism:
     streams_eligible:
         ``predicate(config)`` — may this unit ship as a compiled-stream
         key over the shared store (no records pickled)?  Checked only
-        after the engine gate (``fast``/``kernel`` and untraced).
+        after the engine gate (``fast`` and untraced).
     analytic_eligible:
         ``predicate(config)`` — may the one-pass axis solver answer
         cells of this mechanism?  Checked after the same engine gate.
-    kernel_eligible:
-        ``predicate(config)`` — may the vectorized batch kernels of
-        :mod:`repro.sim.kernels` answer this cell?  Checked only when
-        the config asks for ``engine="kernel"`` and is untraced;
-        ineligible cells silently take the fast path (``kernel`` is an
-        optimization tier, never a model change).
     cost_model:
         Zero-argument factory for the default
         :class:`~repro.core.costs.CostModel` when the config passes
@@ -100,13 +93,11 @@ class Mechanism:
     """
 
     __slots__ = ("name", "simulate", "description", "traceable",
-                 "_validate", "_streams", "_analytic", "_kernel",
-                 "_cost_model")
+                 "_validate", "_streams", "_analytic", "_cost_model")
 
     def __init__(self, name, simulate, description="", traceable=False,
                  validate=None, streams_eligible=None,
-                 analytic_eligible=None, kernel_eligible=None,
-                 cost_model=None):
+                 analytic_eligible=None, cost_model=None):
         self.name = name
         self.simulate = simulate
         self.description = description
@@ -114,7 +105,6 @@ class Mechanism:
         self._validate = validate
         self._streams = streams_eligible
         self._analytic = analytic_eligible
-        self._kernel = kernel_eligible
         self._cost_model = cost_model
 
     def validate(self, config):
@@ -123,9 +113,9 @@ class Mechanism:
             self._validate(config)
 
     def streams_eligible(self, config):
-        """True when replay consumes compiled streams (fast or kernel,
+        """True when replay consumes compiled streams (fast engine,
         untraced, plus any mechanism-specific structural requirements)."""
-        if config.engine not in ("fast", "kernel") or config.traced:
+        if config.engine != "fast" or config.traced:
             return False
         if self._streams is None:
             return False
@@ -133,19 +123,11 @@ class Mechanism:
 
     def analytic_eligible(self, config):
         """True when the analytic axis solver models this cell exactly."""
-        if config.engine not in ("fast", "kernel") or config.traced:
+        if config.engine != "fast" or config.traced:
             return False
         if self._analytic is None:
             return False
         return self._analytic(config)
-
-    def kernel_eligible(self, config):
-        """True when the batch kernels answer this cell (vs fast fallback)."""
-        if config.engine != "kernel" or config.traced:
-            return False
-        if self._kernel is None:
-            return False
-        return self._kernel(config)
 
     def default_cost_model(self):
         """The cost model used when the config passes none."""
@@ -209,12 +191,11 @@ def mechanism_names():
 # ---------------------------------------------------------------------------
 
 def _validate_intr(config):
-    # The interrupt baseline's fast path (which the kernel tier also
-    # rides) needs a direct-mapped, unclassified cache; anything else
-    # must ask for the reference engine explicitly instead of silently
-    # falling back to it.
-    if config.engine in ("fast", "kernel") and (config.associativity != 1
-                                                or config.classify):
+    # The interrupt baseline's fast path needs a direct-mapped,
+    # unclassified cache; anything else must ask for the reference
+    # engine explicitly instead of silently falling back to it.
+    if config.engine == "fast" and (config.associativity != 1
+                                    or config.classify):
         raise ConfigError(
             "mechanism 'intr' has no fast path for associativity=%d "
             "classify=%r; use engine=\"reference\""
@@ -344,7 +325,6 @@ register(Mechanism(
     traceable=True,
     streams_eligible=lambda config: True,
     analytic_eligible=_utlb_analytic,
-    kernel_eligible=_kernels.utlb_kernel_eligible,
 ))
 
 register(Mechanism(

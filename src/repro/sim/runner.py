@@ -13,15 +13,15 @@ Results travel as JSON-safe dicts (``NodeResult.to_dict``) in *all three*
 paths — serial, cross-process, and cached — so a warm cache run is
 byte-identical to a cold one by construction.
 
-Before any replay is scheduled, an *axis-solver tier* intercepts eligible
-groups of cells: cells that replay the same traces under configs
-differing only along one sweep axis (``memory_limit_bytes``, or the
-cache geometry) with default-path LRU settings are answered by
-``repro.sim.analytic`` — one Mattson-style pass per node for the whole
-axis instead of one replay per cell, byte-identical by construction (the
-determinism tests diff them directly).  Everything else falls through to
-per-cell replay unchanged, and solved cells still land in the result
-cache.
+Before any replay is scheduled, an *axis-solver tier* intercepts every
+eligible cell: utlb cells with default-path LRU settings are grouped
+with the cells that replay the same traces under configs differing only
+along one sweep axis (``memory_limit_bytes``, or the cache geometry) and
+answered by ``repro.sim.analytic`` — one Mattson-style pass per node for
+the whole group (a lone cell is a group of one) instead of one replay
+per cell, byte-identical by construction (the determinism tests diff
+them directly).  Everything else falls through to per-cell replay
+unchanged, and solved cells still land in the result cache.
 
 Trace *inputs* travel the cheap way: a sweep replays the same handful of
 node traces under dozens of configurations, so the runner compiles each
@@ -328,11 +328,6 @@ class CellMetrics:
         #: True when the cell was answered by the analytic axis solver
         #: (one shared pass) instead of its own replay.
         self.analytic = False
-        #: True when the cell's replay dispatched to the vectorized
-        #: batch kernels (``engine="kernel"`` and the mechanism's
-        #: ``kernel_eligible`` predicate held); False for fast-path
-        #: fallbacks, analytic cells, and cache hits.
-        self.kernel = False
         #: Run-unique id of the analytic axis that answered this cell
         #: (None for replayed cells).  Cells sharing an ``axis_id`` were
         #: solved by one pass whose cost is attributed *equally across
@@ -364,7 +359,7 @@ class CellMetrics:
             "wall_time_s": self.wall_time_s,
             "phases": dict(self.phases),
             # The compile/replay split, promoted out of ``phases`` so a
-            # metrics consumer can read each cell's kernel win without
+            # metrics consumer can read each cell's replay cost without
             # digging: compile time this cell was charged (its fresh
             # ``compile_streams`` passes) vs its replay time proper.
             "compile_s": self.phases["compile_s"],
@@ -374,7 +369,10 @@ class CellMetrics:
             "compile_count": self.compile_count,
             "ipc_bytes": self.ipc_bytes,
             "analytic": self.analytic,
-            "kernel": self.kernel,
+            # No tier sets this: single cells are solved by the analytic
+            # planner.  The key stays, always False, because report
+            # readers such as perfbench/layers.py:tier_of still read it.
+            "kernel": False,
             "axis_id": self.axis_id,
             "pages_per_sec": self.pages_per_sec,
             "stats": self.stats,
@@ -414,10 +412,6 @@ class SweepMetrics:
     @property
     def analytic_cells(self):
         return sum(1 for c in self.cells if c.analytic)
-
-    @property
-    def kernel_cells(self):
-        return sum(1 for c in self.cells if c.kernel)
 
     @property
     def cpu_time_s(self):
@@ -469,7 +463,6 @@ class SweepMetrics:
                 "cache_corrupt": self.cache_corrupt,
                 "analytic_axes": self.analytic_axes,
                 "analytic_cells": self.analytic_cells,
-                "kernel_cells": self.kernel_cells,
                 "cpu_time_s": self.cpu_time_s,
                 "elapsed_s": self.elapsed_s,
                 "phases": phase_totals,
@@ -520,18 +513,6 @@ def _streams_eligible(config, mechanism):
     """
     mech = mech_registry.lookup(mechanism)
     return mech is not None and mech.streams_eligible(config)
-
-
-def _kernel_eligible(config, mechanism):
-    """True when the cell's replay will dispatch to the batch kernels.
-
-    The metrics-side mirror of the dispatch inside the mechanism's own
-    ``simulate`` (the single source of truth): the runner never routes
-    on this, it only tags :class:`CellMetrics` so kernel wins are
-    attributable per cell.
-    """
-    mech = mech_registry.lookup(mechanism)
-    return mech is not None and mech.kernel_eligible(config)
 
 
 #: Worker-side registry of attached compiled streams, populated by the
@@ -835,9 +816,9 @@ class SweepRunner:
                         continue
                 pending.append(index)
 
-            # The axis-solver tier: groups of cells differing only along
-            # one analytic-eligible axis are lifted out of ``pending``
-            # and answered by one pass per node.
+            # The axis-solver tier: every analytic-eligible cell is lifted
+            # out of ``pending`` into its axis and answered by one pass
+            # per node.
             axes = []
             if self.analytic:
                 axes, pending = plan_axes(cells, pending, configs,
@@ -855,8 +836,6 @@ class SweepRunner:
             for index in pending:
                 cell = cells[index]
                 eligible = _streams_eligible(configs[index], cell.mechanism)
-                cell_metrics[index].kernel = _kernel_eligible(
-                    configs[index], cell.mechanism)
                 for node in sorted(cell.traces):
                     records = cell.traces[node]
                     units.append(("replay", index, node))

@@ -15,7 +15,6 @@ and aggregates.
 from repro.core.shared_cache import SharedUtlbCache, ShadowedUtlbCache
 from repro.core.stats import TranslationStats
 from repro.core.utlb import CountingFrameDriver, HierarchicalUtlb
-from repro.sim import kernels
 from repro.traces.compile import compile_streams
 
 
@@ -86,13 +85,10 @@ def simulate_node(records, config, check_invariants=False, compiled=None):
     """Replay one node's (timestamp-sorted) trace under ``config``.
 
     Dispatches on ``config.engine``: ``fast`` (the default) replays
-    compiled page streams through a counter-only hot path; ``kernel``
-    answers eligible cells with the vectorized batch kernels of
-    :mod:`repro.sim.kernels` and takes the fast path for everything
-    else; ``reference`` replays record-at-a-time through the full
-    machinery.  All three are bit-identical in output
-    (``NodeResult.to_dict()`` equality — the differential tests enforce
-    it).
+    compiled page streams through a counter-only hot path; ``reference``
+    replays record-at-a-time through the full machinery.  Both are
+    bit-identical in output (``NodeResult.to_dict()`` equality — the
+    differential tests enforce it).
 
     ``compiled`` optionally passes precompiled streams for ``records``
     (:func:`compile_streams` output); the sweep runner uses it to compile
@@ -103,18 +99,9 @@ def simulate_node(records, config, check_invariants=False, compiled=None):
     engine: the fast engine's hot loop is counter-only and cannot feed an
     event stream.  With no tracer (or a NullTracer) the fast path runs
     unchanged — byte- and speed-identical to an untraced build.
-    ``check_invariants`` also forces the kernel tier down to fast — the
-    kernel computes counts, not the live structures the invariant walk
-    inspects.
     """
     if config.engine == "reference" or config.traced:
         return _simulate_node_reference(records, config, check_invariants)
-    if (config.engine == "kernel" and not check_invariants
-            and kernels.utlb_kernel_eligible(config)):
-        if compiled is None:
-            compiled = compile_streams(records)
-        return NodeResult.from_dict(
-            kernels.replay_node_dict(compiled, config))
     return _simulate_node_fast(records, config, check_invariants, compiled)
 
 

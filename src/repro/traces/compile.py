@@ -32,7 +32,7 @@ with peak memory O(chunk + compiled size) — the per-record Python
 objects are transient and the full record list never exists.
 :func:`compile_streams` is the one-shot spelling of the same pass.
 
-With numpy importable, ingestion runs through a *compile kernel*: each
+By default ingestion runs through a numpy *compile kernel*: each
 staged batch of records collapses to three int64 columns in one pass,
 page expansion becomes vectorized index math (``vaddr >> PAGE_SHIFT``
 plus a repeat/cumsum ladder for multi-page records), and the flat
@@ -42,7 +42,8 @@ every chunking — batches with values the vectorized path cannot model
 exactly (``nbytes < 1``, 64-bit wraparound in ``vaddr + nbytes - 1``,
 fields beyond int64) fall back to the loop *before* touching any
 buffer, so exotic records compile exactly as before.  ``kernel=False``
-forces the loop everywhere (the differential baseline).
+forces the loop everywhere (the differential baseline).  numpy is
+imported on first use, which keeps it out of interpreter start-up.
 """
 
 import sys
@@ -51,22 +52,6 @@ from itertools import islice
 
 from repro import params
 from repro.errors import TraceError
-
-_NUMPY = None
-_NUMPY_CHECKED = False
-
-
-def _numpy():
-    """The numpy module, or None (optional accelerator, not a dependency)."""
-    global _NUMPY, _NUMPY_CHECKED
-    if not _NUMPY_CHECKED:
-        _NUMPY_CHECKED = True
-        try:
-            import numpy
-        except ImportError:
-            numpy = None
-        _NUMPY = numpy
-    return _NUMPY
 
 #: Version tag of the ``to_buffers`` metadata layout.
 #: 2: ``segments`` left the header — it is derived (the run-length
@@ -164,19 +149,13 @@ class CompiledStreams:
                 % (self.pids, self.total_pages))
 
     def numpy_views(self):
-        """Zero-copy numpy views ``(index_stream, page_stream)``, or None.
+        """Zero-copy numpy views ``(index_stream, page_stream)``.
 
         Wraps the interleaved flat arrays as ``uint16`` / ``uint64``
         ndarrays without copying — works both on owned ``array`` objects
         and on the ``memoryview`` casts a shared-memory attachment holds.
-        Returns None when numpy is not installed (it is an optional
-        accelerator, never a dependency): callers must keep a pure-Python
-        fallback.
         """
-        try:
-            import numpy
-        except ImportError:
-            return None
+        import numpy
         return (numpy.frombuffer(self.index_stream, dtype=numpy.uint16),
                 numpy.frombuffer(self.page_stream, dtype=numpy.uint64))
 
@@ -259,28 +238,22 @@ class StreamCompiler:
     chunk + compiled size), never O(records); :func:`compile_streams`
     itself is just one ``add`` of the whole iterable.
 
-    ``kernel`` selects the ingestion path: None (the default) uses the
-    vectorized numpy kernel when numpy is importable, True requires it
-    (:class:`TraceError` otherwise), False forces the per-record loop.
-    Either path produces byte-identical output; batches the kernel
-    cannot model exactly fall back to the loop record-by-record.
+    ``kernel`` selects the ingestion path: True (the default) uses the
+    vectorized numpy kernel, False forces the per-record loop.  Either
+    path produces byte-identical output; batches the kernel cannot model
+    exactly fall back to the loop record-by-record.
     """
 
     __slots__ = ("_streams", "_pid_order", "_pid_chunk", "_index_stream",
                  "_page_stream", "_finished", "_kernel")
 
-    def __init__(self, kernel=None):
+    def __init__(self, kernel=True):
         self._streams = {}
         self._pid_order = []
         self._pid_chunk = {}    # pid -> its dense index as one 'H' item
         self._index_stream = array("H")
         self._page_stream = array("Q")
         self._finished = False
-        if kernel is None:
-            kernel = _numpy() is not None
-        elif kernel and _numpy() is None:
-            raise TraceError(
-                "kernel=True requires numpy, which is not installed")
         self._kernel = bool(kernel)
 
     def add(self, records):
@@ -305,7 +278,7 @@ class StreamCompiler:
         the class docstring) leaves the compiler untouched and the
         per-record loop reproduces the batch byte-identically.
         """
-        numpy = _numpy()
+        import numpy
         count = len(batch)
         try:
             pids = numpy.fromiter((r.pid for r in batch),
@@ -398,7 +371,7 @@ class StreamCompiler:
                                len(self._page_stream))
 
 
-def compile_streams(records, kernel=None):
+def compile_streams(records, kernel=True):
     """Compile a (timestamp-sorted, merged) trace into page streams.
 
     Single pass: builds the per-pid streams, the segment list, the
@@ -406,8 +379,8 @@ def compile_streams(records, kernel=None):
     iterable of records — a list, or a lazy generator/
     ``StreamingNodeTrace``, in which case the record objects are
     transient and peak memory is bounded by the compiled arrays.
-    ``kernel`` is the :class:`StreamCompiler` ingestion knob (None =
-    numpy when available).
+    ``kernel`` is the :class:`StreamCompiler` ingestion knob (False =
+    the per-record loop).
     """
     compiler = StreamCompiler(kernel=kernel)
     compiler.add(records)
@@ -415,7 +388,7 @@ def compile_streams(records, kernel=None):
 
 
 def compile_in_chunks(records, chunk_records=DEFAULT_CHUNK_RECORDS,
-                      kernel=None):
+                      kernel=True):
     """Compile via fixed-size record chunks (the explicit chunk knob).
 
     Equivalent to :func:`compile_streams` for any ``chunk_records >= 1``

@@ -30,8 +30,8 @@ workloads exposing only ``iter_processes`` take the record form with
 ``record.pages()`` expansion.  With ``workers <= 1`` (notably on a
 single-CPU host, where a pool is pure overhead) the same per-process
 array generation runs in-process and still beats the record-at-a-time
-merge.  Without numpy or without either protocol, the function degrades
-to the streaming serial compile
+merge.  Without either protocol, the function degrades to the streaming
+serial compile
 (:func:`~repro.traces.compile.compile_in_chunks` over ``iter_node``) —
 same output, one process.
 """
@@ -47,14 +47,6 @@ from repro.traces.compile import CompiledStreams, compile_in_chunks
 #: one uint64 sort key; such traces take the (slower, equivalent)
 #: two-key lexsort.
 _TS_KEY_LIMIT = 1 << 48
-
-
-def _numpy():
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy
 
 
 def generate_process_arrays(workload, node, seed, scale, index):
@@ -111,17 +103,16 @@ def default_generation_workers():
 
 
 def compile_node_parallel(workload, node=0, seed=0, scale=1.0,
-                          workers=None, mp_context=None, kernel=None):
+                          workers=None, mp_context=None):
     """Generate and compile one node's trace with parallel generation.
 
     Returns a :class:`CompiledStreams` byte-identical to
     ``compile_streams(list(workload.iter_node(node, seed, scale)))``.
     ``workers`` caps the generation pool (default
-    :func:`default_generation_workers`); ``kernel`` is the serial
-    fallback's compile knob.  See the module docstring for the merge
-    reproduction argument.
+    :func:`default_generation_workers`).  See the module docstring for
+    the merge reproduction argument.
     """
-    numpy = _numpy()
+    import numpy
     if workers is None:
         workers = default_generation_workers()
     if hasattr(workload, "iter_page_streams"):
@@ -131,10 +122,9 @@ def compile_node_parallel(workload, node=0, seed=0, scale=1.0,
         count = len(workload.iter_processes(node, seed=seed, scale=scale))
     else:
         count = 0
-    if numpy is None or count == 0:
+    if count == 0:
         return compile_in_chunks(
-            workload.iter_node(node, seed=seed, scale=scale),
-            kernel=kernel)
+            workload.iter_node(node, seed=seed, scale=scale))
     jobs = [(workload, node, seed, scale, index) for index in range(count)]
     if workers > 1 and count > 1:
         context = get_context(mp_context)

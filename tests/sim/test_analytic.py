@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 
 from repro import params
 from repro.core.costs import DEFAULT_COST_MODEL
+from repro.sim import analytic, kernels
 from repro.sim.analytic import (
-    AXIS_MIN_CELLS,
     cell_eligible,
     plan_axes,
     solve_axis_node,
@@ -87,7 +87,9 @@ class TestMemoryAxisDifferential:
         traces = synth_trace(seed)
         runner = assert_cells_identical(
             lambda: self.cells(traces), analytic_cells=len(self.LIMITS))
-        assert runner.metrics.analytic_axes == 1
+        # The finite limits share one memory axis; the unlimited cell is
+        # a cache axis of one.
+        assert runner.metrics.analytic_axes == 2
 
     def test_nohash_indexed(self, seed=3):
         traces = synth_trace(seed)
@@ -128,16 +130,12 @@ class TestCacheAxisDifferential:
             lambda: self.cells(traces), analytic_cells=12)
         assert runner.metrics.analytic_axes == 1
 
-    def test_python_fallback_matches(self, seed=4, monkeypatch=None):
-        """The pure-Python direct-mapped pass (no numpy) is exact too."""
-        import repro.traces.compile as compile_mod
+    def test_python_pass_matches(self, monkeypatch, seed=4):
+        """The pure-Python pass is exact for direct-mapped cells too."""
         traces = synth_trace(seed)
-        original = compile_mod.CompiledStreams.numpy_views
-        compile_mod.CompiledStreams.numpy_views = lambda self: None
-        try:
-            assert_cells_identical(lambda: self.cells(traces))
-        finally:
-            compile_mod.CompiledStreams.numpy_views = original
+        monkeypatch.setattr(analytic, "_cache_pass",
+                            kernels._cache_pass_python)
+        assert_cells_identical(lambda: self.cells(traces))
 
     def test_multi_node(self):
         traces = synth_trace(6)
@@ -241,13 +239,18 @@ class TestPlanner:
         config.pin_policy = object()    # examples inject instances
         assert not cell_eligible(config, "utlb")
 
-    def test_singleton_groups_replay(self):
+    def test_singleton_groups_are_solved(self):
         traces = synth_trace(11)
-        cells = [SweepCell(0, traces, SimConfig(cache_entries=64), "utlb")]
+        cells = [
+            SweepCell(0, traces, SimConfig(cache_entries=64), "utlb"),
+            SweepCell(1, traces, SimConfig(cache_entries=64,
+                                           memory_limit_bytes=8 * 4096),
+                      "utlb"),
+        ]
         axes, leftover = self.plan(cells)
-        assert axes == []
-        assert leftover == [0]
-        assert AXIS_MIN_CELLS == 2
+        assert [(axis.kind, axis.indices) for axis in axes] == [
+            ("cache", [0]), ("memory", [1])]
+        assert leftover == []
 
     def test_different_traces_never_share_an_axis(self):
         config = SimConfig(cache_entries=64)
@@ -257,13 +260,12 @@ class TestPlanner:
                       "utlb"),
         ]
         axes, leftover = self.plan(cells)
-        assert axes == []
-        assert leftover == [0, 1]
+        assert [axis.indices for axis in axes] == [[0], [1]]
+        assert leftover == []
 
-    def test_memory_axis_claims_before_cache_axis(self):
-        # Cells varying only the limit under a direct-mapped cache fit
-        # both groupings; the memory solver (one pass for the whole
-        # axis, any limit count) must win the claim.
+    def test_axis_kind_follows_the_limit(self):
+        # Limited cells share a memory axis; the unlimited cell, which
+        # differs from them only in the limit, joins a cache axis.
         traces = synth_trace(14)
         base = SimConfig(cache_entries=64)
         cells = [SweepCell(i, traces,
@@ -271,9 +273,46 @@ class TestPlanner:
                  for i, limit in enumerate(
                      [None, 8 * params.PAGE_SIZE, 32 * params.PAGE_SIZE])]
         axes, leftover = self.plan(cells)
-        assert [axis.kind for axis in axes] == ["memory"]
-        assert sorted(axes[0].indices) == [0, 1, 2]
+        assert [(axis.kind, axis.indices) for axis in axes] == [
+            ("cache", [0]), ("memory", [1, 2])]
         assert leftover == []
+
+    def test_no_limit_cell_never_rides_a_memory_pass(self):
+        # The cache pass is vectorized, the memory pass is not: an
+        # unlimited cell must always take the cache axis, whatever
+        # limited cells share its geometry and traces.
+        traces = synth_trace(16)
+        base = SimConfig()
+        cells = []
+        for size in (64, 128):
+            for limit in (None, 8 * params.PAGE_SIZE, None,
+                          32 * params.PAGE_SIZE):
+                cells.append(SweepCell(
+                    len(cells), traces,
+                    base.replace(cache_entries=size,
+                                 memory_limit_bytes=limit), "utlb"))
+        axes, leftover = self.plan(cells)
+        assert leftover == []
+        placed = sorted(m for axis in axes for m in axis.indices)
+        assert placed == list(range(len(cells)))
+        for axis in axes:
+            limits = {cells[m].config.memory_limit_bytes
+                      for m in axis.indices}
+            if axis.kind == "memory":
+                assert None not in limits
+                assert None not in axis.spec["limits"]
+            else:
+                assert limits == {None}
+
+    def test_limited_set_associative_cells_replay(self):
+        traces = synth_trace(17)
+        cells = [SweepCell(0, traces,
+                           SimConfig(cache_entries=64, associativity=2,
+                                     memory_limit_bytes=8 * 4096),
+                           "utlb")]
+        axes, leftover = self.plan(cells)
+        assert axes == []
+        assert leftover == [0]
 
     def test_leftover_preserves_pending_order(self):
         traces = synth_trace(15)

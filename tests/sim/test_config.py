@@ -71,3 +71,9 @@ class TestDerived:
     def test_describe_mentions_key_fields(self):
         text = SimConfig(memory_limit_bytes=4 * 1024 * 1024).describe()
         assert "4MB" in text and "cache=8192" in text
+
+    def test_describe_shows_classify(self):
+        # Classified cells replay (the solver has no 3C model), so the
+        # label must tell them apart from the plain cells of a sweep.
+        assert "classify" not in SimConfig().describe()
+        assert SimConfig(classify=True).describe().endswith(" classify")

@@ -206,7 +206,14 @@ class TestShadowCoherence:
 
 class TestEngineKnob:
     def test_engines_constant(self):
-        assert ENGINES == ("fast", "kernel", "reference")
+        assert ENGINES == ("fast", "reference")
+
+    def test_retired_kernel_engine_rejected(self):
+        # The per-cell kernel tier is gone; the analytic planner solves
+        # single eligible cells under the default engine.
+        retired = "kernel"
+        with pytest.raises(ConfigError, match="'kernel'"):
+            SimConfig(engine=retired)
 
     def test_default_is_fast(self):
         assert SimConfig().engine == "fast"

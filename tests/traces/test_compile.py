@@ -296,30 +296,26 @@ class TestCompileKernel:
 
     @pytest.mark.parametrize("chunk", [1, 7, 64, 10**6])
     def test_kernel_equals_loop_at_every_chunking(self, chunk):
-        pytest.importorskip("numpy")
         records = self.records()
         assert_byte_identical(
             compile_in_chunks(iter(records), chunk, kernel=True),
             compile_in_chunks(iter(records), chunk, kernel=False))
 
-    def test_kernel_knob_defaults_to_auto(self):
+    def test_kernel_knob_defaults_to_on(self):
         records = self.records()
         assert_byte_identical(compile_streams(records),
                               compile_streams(records, kernel=False))
 
-    def test_kernel_requires_numpy(self, monkeypatch):
-        import repro.traces.compile as compile_mod
-        monkeypatch.setattr(compile_mod, "_numpy", lambda: None)
-        with pytest.raises(TraceError, match="numpy"):
-            StreamCompiler(kernel=True)
-        # auto (None) quietly degrades to the loop.
-        assert_byte_identical(
-            compile_mod.compile_streams(self.records()),
-            compile_streams(self.records(), kernel=False))
+    def test_default_never_takes_the_loop(self, monkeypatch):
+        def loop(compiler, records):
+            raise AssertionError("per-record loop used")
+        monkeypatch.setattr(StreamCompiler, "_add_loop", loop)
+        compile_streams(self.records())
+        with pytest.raises(AssertionError):
+            compile_streams(self.records(), kernel=False)
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_kernel_on_workload_traces(self, name):
-        pytest.importorskip("numpy")
         records = make_workload(name).generate_node(0, seed=1, scale=0.02)
         assert_byte_identical(compile_streams(records, kernel=True),
                               compile_streams(records, kernel=False))
@@ -337,7 +333,6 @@ class TestCompileKernelProperty:
                max_size=120),
            chunk=st.sampled_from([1, 3, 17, 1000]))
     def test_chunked_kernel_parity(self, data, chunk):
-        pytest.importorskip("numpy")
         ts = 0
         records = []
         for gap, pid, page, npages in data:

@@ -12,7 +12,6 @@ must describe the same trace.
 import pytest
 
 from repro.errors import TraceError
-from repro.traces import parallel
 from repro.traces.compile import compile_in_chunks
 from repro.traces.parallel import (
     compile_node_parallel,
@@ -76,13 +75,6 @@ class TestByteIdentity:
         assert fields(compile_node_parallel(shim, seed=1, scale=0.05,
                                             workers=1)) \
             == fields(serial(workload, seed=1, scale=0.05))
-
-    def test_no_numpy_falls_back_to_serial(self, monkeypatch):
-        monkeypatch.setattr(parallel, "_numpy", lambda: None)
-        workload = make_workload("barnes")
-        assert fields(compile_node_parallel(workload, scale=0.05,
-                                            workers=4)) \
-            == fields(serial(workload, scale=0.05))
 
     def test_no_protocol_falls_back_to_serial(self):
         workload = make_workload("barnes")
