@@ -110,7 +110,7 @@ def plan_axes(cells, pending, configs, fingerprint):
     The cell's shape picks the axis kind: a cell with a pinning limit
     on a direct-mapped cache joins a memory axis, and a cell with no
     limit joins a cache axis.  Two cells share an axis when they replay
-    the identical traces (by content fingerprint) under configs that
+    the identical traces (by trace fingerprint) under configs that
     differ *only* in that kind's field(s): ``memory_limit_bytes``, or
     ``(cache_entries, associativity, offsetting)``.  An axis of one cell
     is solved too — its single pass is still cheaper than a replay.

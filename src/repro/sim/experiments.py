@@ -33,6 +33,7 @@ from repro.sim.runner import (
     SweepRunner,
     default_cache_dir,
     default_runner,
+    trace_census,
     workers_from_env,
 )
 from repro.sim.sweep import (
@@ -40,7 +41,6 @@ from repro.sim.sweep import (
     sweep_associativity,
     sweep_prefetch,
 )
-from repro.traces.record import count_lookups, footprint_pages
 from repro.traces.synth import TABLE_ORDER, make_app
 
 #: Default experiment geometry (the paper's cluster).
@@ -128,8 +128,9 @@ def table3(scale=1.0, nodes=DEFAULT_NODES, seed=DEFAULT_SEED):
     data = {}
     for app in _apps():
         traces = generate_traces(app, nodes=nodes, seed=seed, scale=scale)
-        fp = sum(footprint_pages(t) for t in traces.values()) / len(traces)
-        lk = sum(count_lookups(t) for t in traces.values()) / len(traces)
+        census = [trace_census(t) for t in traces.values()]
+        fp = sum(footprint for _, footprint in census) / len(census)
+        lk = sum(lookups for lookups, _ in census) / len(census)
         data[app.name] = {
             "problem_size": app.problem_size,
             "footprint_pages": fp,

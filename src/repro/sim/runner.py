@@ -25,7 +25,7 @@ unchanged, and solved cells still land in the result cache.
 
 Trace *inputs* travel the cheap way: a sweep replays the same handful of
 node traces under dozens of configurations, so the runner compiles each
-distinct trace exactly once per batch (keyed by content fingerprint),
+distinct trace exactly once per batch (keyed by trace fingerprint),
 publishes the compiled streams to a per-batch
 :class:`~repro.sim.stream_store.SharedStreamStore`, and sends workers
 only ``(stream_key, config, mechanism)``.  Workers attach read-only in
@@ -35,16 +35,19 @@ largest-trace-first to keep a straggler from serializing the tail;
 results are still reassembled in submission order.
 
 Cell traces may be record *lists* or re-iterable lazy sources
-(:class:`~repro.traces.synth.base.StreamingNodeTrace`): fingerprinting,
-compilation, and replay all consume plain iteration, and after a pooled
-batch publishes its compiled streams the parent swaps its own compile
-memo for views over the shared blocks — so with streaming sources the
-full record list never exists in any process and peak memory is bounded
+(:class:`~repro.traces.synth.base.StreamingNodeTrace`).  A list is
+fingerprinted by hashing its records.  A synthetic source is never
+iterated to key or compile it: :func:`trace_fingerprint` keys it by its
+*source identity* — workload class and state, node, seed, scale, and a
+digest of the generator source — and ``compile_streams`` builds it from
+the workload's page streams without constructing a record.  After a
+pooled batch publishes its compiled streams the parent swaps its own
+compile memo for views over the shared blocks, so peak memory is bounded
 by the compiled arrays (8 bytes/lookup), not the ~100x-larger record
 objects.
 
-The cache key is a content hash of everything that can change a cell's
-outcome: the per-node trace fingerprints, every :class:`SimConfig` field
+The cache key is a hash of everything that can change a cell's outcome:
+the per-node trace fingerprints, every :class:`SimConfig` field
 (cost-model constants included), the mechanism, and a digest of the
 simulator/core source files ("code version").  Any edit to any input
 yields a fresh key; stale entries are simply never read again.
@@ -58,6 +61,7 @@ benchmarks attach to their results.
 import atexit
 import hashlib
 import json
+import numbers
 import os
 import re
 import struct
@@ -73,6 +77,7 @@ from repro.sim.simulator import ClusterResult
 from repro.sim.stream_store import AttachedStreams, SharedStreamStore
 from repro.traces.compile import compile_streams
 from repro.traces.record import OP_CODES, count_lookups
+from repro.traces.synth.base import StreamingNodeTrace
 
 #: Registered mechanism names at import time (see
 #: :mod:`repro.sim.mechanisms` — the registry is the authority; this
@@ -87,9 +92,15 @@ PHASES = ("compile_s", "replay_s", "report_s")
 #: packed record bytes.
 #: 3: ``SimConfig.to_dict`` grew the ``mechanism`` field (the registry
 #: refactor made the mechanism part of the config).
-CACHE_FORMAT = 3
+#: 4: ``trace_fingerprint`` keys a ``StreamingNodeTrace`` by its source
+#: identity instead of a hash of its records.
+CACHE_FORMAT = 4
 
 _CODE_VERSION = None
+_SYNTH_VERSION = None
+
+#: The ``repro`` package directory (every digested source lives under it).
+_REPRO_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 # ---------------------------------------------------------------------------
@@ -108,22 +119,31 @@ _FINGERPRINT_CHUNK = 8192
 
 
 def trace_fingerprint(records):
-    """Content hash of one node's trace (order-sensitive, as replay is).
+    """Cache identity of one node's trace.
 
-    Hashes the packed binary form of each record — one ``struct.pack``
-    per record instead of building a ``repr()`` string, which is what
-    made fingerprinting show up in sweep profiles.  The digest is fed in
-    fixed-size chunks, so ``records`` may be any (re-)iterable — a list,
-    or a lazy :class:`~repro.traces.synth.base.StreamingNodeTrace` —
-    and peak memory stays O(chunk), never O(records); the hexdigest is
-    identical either way (sha256 is stream-order defined).  Falls back
-    to the repr form for exotic field values the packed layout cannot
-    hold (e.g. a pid beyond 64 bits), re-iterating the input — which is
-    why the streaming protocol demands re-iterability; both forms are
-    stable content hashes, and ``CACHE_FORMAT`` was bumped when the
-    packed form became the default, so no old key can collide with a
-    new one.
+    A :class:`~repro.traces.synth.base.StreamingNodeTrace` is keyed by
+    its source identity (see :func:`_source_identity`) without
+    generating a single record.  Everything else — record lists,
+    captured traces, and streaming sources whose workload state has no
+    stable description — gets a content hash (order-sensitive, as
+    replay is), described below.
+
+    The content hash covers the packed binary form of each record — one
+    ``struct.pack`` per record instead of building a ``repr()`` string,
+    which is what made fingerprinting show up in sweep profiles.  The
+    digest is fed in fixed-size chunks, so ``records`` may be any
+    (re-)iterable and peak memory stays O(chunk), never O(records).
+    Falls back to the repr form for exotic field values the packed
+    layout cannot hold (e.g. a pid beyond 64 bits), re-iterating the
+    input — which is why the streaming protocol demands
+    re-iterability; both forms are stable content hashes, and
+    ``CACHE_FORMAT`` was bumped when the packed form became the default,
+    so no old key can collide with a new one.
     """
+    if isinstance(records, StreamingNodeTrace):
+        identity = _source_identity(records)
+        if identity is not None:
+            return identity
     digest = hashlib.sha256()
     pack = _FINGERPRINT_RECORD.pack
     try:
@@ -144,38 +164,132 @@ def trace_fingerprint(records):
     return digest.hexdigest()
 
 
+class _Unstable(Exception):
+    """Workload state with no address-free description."""
+
+
+def _state_of(value):
+    """A JSON-safe description of workload state, free of addresses.
+
+    Scalars are normalized (``numpy.float64(0.1)`` describes like
+    ``0.1``), containers recurse, and an object is described by its
+    class and instance state — but only objects of a class defined in
+    ``repro.traces.synth``, whose source :func:`synth_version` digests.
+    Anything else (a user-defined class whose edits no digest would
+    see, or an object known only by a ``<... at 0x...>`` repr) raises
+    :class:`_Unstable`.
+    """
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Real):
+        return float(value)
+    if isinstance(value, (list, tuple)):
+        return [_state_of(item) for item in value]
+    if isinstance(value, dict) and all(isinstance(key, str)
+                                       for key in value):
+        return {key: _state_of(item) for key, item in value.items()}
+    cls = type(value)
+    if cls.__module__.startswith("repro.traces.synth.") \
+            and hasattr(value, "__dict__"):
+        return {"class": "%s.%s" % (cls.__module__, cls.__qualname__),
+                "state": _state_of(vars(value))}
+    raise _Unstable(cls.__qualname__)
+
+
+def _source_identity(trace):
+    """Declarative identity of a ``StreamingNodeTrace``, or None.
+
+    A sha256 over the workload's class and full instance state
+    (recursively — a ``MixedWorkload``'s app list, every ``zipf-kv``
+    knob), the node, seed and scale, and :func:`synth_version`.  A
+    synthetic trace is a pure function of exactly these, so two sources
+    with equal identities generate identical records; leaving the
+    generator source out would let an edited generator answer from
+    stale cache entries.  None when the state has no stable
+    description, so the caller falls back to the content hash: an
+    address must never enter a key.
+    """
+    try:
+        workload = _state_of(trace.app)
+    except _Unstable:
+        return None
+    blob = json.dumps({"source": synth_version(), "workload": workload,
+                       "node": trace.node, "seed": trace.seed,
+                       "scale": trace.scale},
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(b"synthetic:" + blob.encode("ascii")).hexdigest()
+
+
+def _digest_files(paths):
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(os.path.basename(path).encode("ascii"))
+        with open(path, "rb") as handle:
+            digest.update(handle.read())
+    return digest.hexdigest()[:16]
+
+
+def _py_files(*parts):
+    root = os.path.join(_REPRO_DIR, *parts)
+    return [os.path.join(root, name) for name in sorted(os.listdir(root))
+            if name.endswith(".py")]
+
+
+def synth_version():
+    """Digest of the source a synthetic trace's records are built from.
+
+    Covers the generators (``repro/traces/synth/*.py``), the record
+    type and merge, and ``repro.params``.  Computed on first use, not
+    at import.
+    """
+    global _SYNTH_VERSION
+    if _SYNTH_VERSION is None:
+        _SYNTH_VERSION = _digest_files(
+            _py_files("traces", "synth")
+            + [os.path.join(_REPRO_DIR, "traces", name)
+               for name in ("merge.py", "record.py")]
+            + [os.path.join(_REPRO_DIR, "params.py")])
+    return _SYNTH_VERSION
+
+
 def code_version():
     """Digest of every source file whose behaviour a cached cell bakes in.
 
     Covers ``repro.core`` and ``repro.cachesim`` wholesale plus the replay
-    entry points and the trace record/merge modules.  Editing any of them
-    invalidates the whole cache (by changing every key), which is the
-    safe direction to fail in.
+    entry points and the trace record/merge/compile modules (the shared
+    page-stream merge in ``traces/parallel.py`` included).  Editing any
+    of them invalidates the whole cache (by changing every key), which
+    is the safe direction to fail in.
     """
     global _CODE_VERSION
     if _CODE_VERSION is None:
-        sim_dir = os.path.dirname(os.path.abspath(__file__))
-        repro_dir = os.path.dirname(sim_dir)
-        paths = []
-        for package in ("core", "cachesim"):
-            root = os.path.join(repro_dir, package)
-            paths.extend(os.path.join(root, name)
-                         for name in sorted(os.listdir(root))
-                         if name.endswith(".py"))
-        paths.extend(os.path.join(sim_dir, name)
-                     for name in ("analytic.py", "config.py",
-                                  "intr_simulator.py", "kernels.py",
-                                  "mechanisms.py", "pp_simulator.py",
-                                  "runner.py", "simulator.py"))
-        paths.extend(os.path.join(repro_dir, "traces", name)
-                     for name in ("compile.py", "merge.py", "record.py"))
-        digest = hashlib.sha256()
-        for path in paths:
-            digest.update(os.path.basename(path).encode("ascii"))
-            with open(path, "rb") as handle:
-                digest.update(handle.read())
-        _CODE_VERSION = digest.hexdigest()[:16]
+        _CODE_VERSION = _digest_files(
+            _py_files("core") + _py_files("cachesim")
+            + [os.path.join(_REPRO_DIR, "sim", name)
+               for name in ("analytic.py", "config.py",
+                            "intr_simulator.py", "kernels.py",
+                            "mechanisms.py", "pp_simulator.py",
+                            "runner.py", "simulator.py")]
+            + [os.path.join(_REPRO_DIR, "traces", name)
+               for name in ("compile.py", "merge.py", "parallel.py",
+                            "record.py")])
     return _CODE_VERSION
+
+
+def trace_census(source):
+    """``(lookups, footprint_pages)`` of one node's trace (Table 3).
+
+    Compiles the trace through :func:`compile_streams`, so a synthetic
+    source builds no record.  Lookups are the compiled pages; the
+    footprint is the distinct pages per pid, which equals
+    :func:`~repro.traces.record.footprint_pages`' distinct
+    ``(pid, vpage)`` count.
+    """
+    compiled = compile_streams(source)
+    return (compiled.total_pages,
+            sum(len(set(stream)) for stream in compiled.streams.values()))
 
 
 def cell_key(traces, config, mechanism, fingerprints=None):
@@ -774,12 +888,12 @@ class SweepRunner:
         owned_tracers = []
         cell_metrics = []
         pending = []
-        fingerprint_memo = {}       # id(records) -> content fingerprint
+        fingerprint_memo = {}       # id(records) -> trace fingerprint
 
         def fingerprint(records):
-            # Keyed by source identity (stable: the cells keep every
-            # trace source — record list or StreamingNodeTrace — alive
-            # for the whole batch) so each distinct trace is hashed once
+            # Keyed by object id (stable: the cells keep every trace
+            # source — record list or StreamingNodeTrace — alive for the
+            # whole batch) so each distinct trace is fingerprinted once
             # per batch no matter how many cells share it.
             memo_key = id(records)
             digest = fingerprint_memo.get(memo_key)

@@ -30,7 +30,9 @@ growing arrays, so a trace generated through the streaming record
 protocol (``SyntheticApp.iter_node`` / ``StreamingNodeTrace``) compiles
 with peak memory O(chunk + compiled size) — the per-record Python
 objects are transient and the full record list never exists.
-:func:`compile_streams` is the one-shot spelling of the same pass.
+:func:`compile_streams` is the one-shot spelling of the same pass; given
+a ``StreamingNodeTrace`` it skips records altogether and compiles the
+workload's page streams (see its docstring).
 
 By default ingestion runs through a numpy *compile kernel*: each
 staged batch of records collapses to three int64 columns in one pass,
@@ -376,12 +378,26 @@ def compile_streams(records, kernel=True):
 
     Single pass: builds the per-pid streams, the segment list, the
     interleaved flat arrays, and the pid set together.  Works on any
-    iterable of records — a list, or a lazy generator/
-    ``StreamingNodeTrace``, in which case the record objects are
-    transient and peak memory is bounded by the compiled arrays.
-    ``kernel`` is the :class:`StreamCompiler` ingestion knob (False =
-    the per-record loop).
+    iterable of records — a list, or a lazy generator, in which case
+    the record objects are transient and peak memory is bounded by the
+    compiled arrays.  ``kernel`` is the :class:`StreamCompiler`
+    ingestion knob (False = the per-record loop).
+
+    A :class:`~repro.traces.synth.base.StreamingNodeTrace` is never
+    iterated: with the kernel on, it compiles from its workload's
+    per-process page streams through the in-process generation and
+    vectorized merge of
+    :func:`~repro.traces.parallel.compile_node_parallel` (``workers=1``),
+    byte-identical to compiling its records, but no record object is
+    ever built.
     """
+    if kernel:
+        from repro.traces.synth.base import StreamingNodeTrace
+        if isinstance(records, StreamingNodeTrace):
+            from repro.traces.parallel import compile_node_parallel
+            return compile_node_parallel(records.app, records.node,
+                                         records.seed, records.scale,
+                                         workers=1)
     compiler = StreamCompiler(kernel=kernel)
     compiler.add(records)
     return compiler.finish()

@@ -30,6 +30,9 @@ workloads exposing only ``iter_processes`` take the record form with
 ``record.pages()`` expansion.  With ``workers <= 1`` (notably on a
 single-CPU host, where a pool is pure overhead) the same per-process
 array generation runs in-process and still beats the record-at-a-time
+merge.  That in-process form is also how
+:func:`~repro.traces.compile.compile_streams` compiles every
+``StreamingNodeTrace``, so the sweep runner and this module share one
 merge.  Without either protocol, the function degrades to the streaming
 serial compile
 (:func:`~repro.traces.compile.compile_in_chunks` over ``iter_node``) —

@@ -24,6 +24,7 @@ Model choices that matter for the results:
 """
 
 import math
+import numbers
 import random
 
 from repro import params
@@ -251,19 +252,31 @@ class StreamingNodeTrace:
     simply iterate again.
 
     Instances are cheap, picklable (the workload object plus three
-    scalars), and valid ``SweepRunner`` cell inputs: the runner
-    fingerprints and compiles them through the same streaming pass it
-    uses for lists, but peak memory stays O(compiled size), not
-    O(records).
+    scalars), and valid ``SweepRunner`` cell inputs.  The runner never
+    iterates them to key or compile a cell: ``trace_fingerprint`` keys
+    one by its source identity (workload class and state, node, seed,
+    scale, generator source digest) and ``compile_streams`` compiles it
+    from the workload's page streams, so peak memory stays O(compiled
+    size), not O(records).
+
+    ``node`` and ``seed`` must be integers and ``scale`` a positive
+    finite real; anything else raises :class:`ConfigError` here, not
+    deep inside generation.  They are stored normalized (``int`` /
+    ``float``), so ``numpy.float64(0.1)`` and ``0.1`` name the same
+    trace and the same identity.
     """
 
     __slots__ = ("app", "node", "seed", "scale")
 
     def __init__(self, app, node=0, seed=0, scale=1.0):
         self.app = app
-        self.node = node
-        self.seed = seed
-        self.scale = scale
+        self.node = _whole("node", node)
+        self.seed = _whole("seed", seed)
+        if isinstance(scale, bool) or not isinstance(scale, numbers.Real) \
+                or not math.isfinite(scale) or scale <= 0:
+            raise ConfigError("trace scale must be a positive finite "
+                              "number, got %r" % (scale,))
+        self.scale = float(scale)
 
     def __iter__(self):
         return iter(self.app.iter_node(self.node, seed=self.seed,
@@ -272,6 +285,14 @@ class StreamingNodeTrace:
     def __repr__(self):
         return ("StreamingNodeTrace(%s, node=%d, seed=%d, scale=%r)"
                 % (self.app.name, self.node, self.seed, self.scale))
+
+
+def _whole(name, value):
+    """``value`` as an ``int``, or :class:`ConfigError` naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError("trace %s must be an integer, got %r"
+                          % (name, value))
+    return int(value)
 
 
 # -- shared pattern building blocks ------------------------------------------------

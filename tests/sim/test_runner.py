@@ -10,6 +10,9 @@ Three properties carry the engine's whole value:
 
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 from multiprocessing import shared_memory
 
 import pytest
@@ -17,18 +20,26 @@ import pytest
 from repro.cachesim.classify import MissBreakdown
 from repro.core.stats import TranslationStats
 from repro.errors import ConfigError
+from repro.sim import runner as runner_module
 from repro.sim.config import SimConfig
 from repro.sim.runner import (
     SweepCell,
     SweepRunner,
     cell_key,
     code_version,
+    trace_census,
     trace_fingerprint,
     workers_from_env,
 )
 from repro.sim.simulator import ClusterResult, NodeResult, simulate_node
-from repro.traces.record import TraceRecord
-from repro.traces.synth import make_app, make_workload
+from repro.traces.record import TraceRecord, count_lookups, footprint_pages
+from repro.traces.synth import (
+    WORKLOADS,
+    MixedWorkload,
+    make_app,
+    make_workload,
+)
+from repro.traces.synth.base import StreamingNodeTrace
 
 SCALE = 0.05
 SEED = 1
@@ -371,11 +382,184 @@ class TestStreamingSources:
         assert warm.cache.hits == 1 and warm.cache.misses == 0
         assert second.to_dict() == first.to_dict()
 
-    def test_streaming_fingerprint_matches_eager(self, config):
+    def test_streaming_fingerprint_is_the_source_identity(self,
+                                                          monkeypatch):
+        # A synthetic source is keyed by what generates it, never by
+        # hashing its records: equal sources agree without iterating,
+        # and the key is not the record-list content hash (the two are
+        # different cache identities for the same records).
         workload = make_workload("zipf-kv")
-        streaming = workload.streaming_node(0, seed=SEED, scale=0.02)
         eager = workload.generate_node(0, seed=SEED, scale=0.02)
-        assert trace_fingerprint(streaming) == trace_fingerprint(eager)
+        monkeypatch.setattr(StreamingNodeTrace, "__iter__", _no_iteration)
+        streaming = workload.streaming_node(0, seed=SEED, scale=0.02)
+        again = make_workload("zipf-kv").streaming_node(0, seed=SEED,
+                                                        scale=0.02)
+        assert trace_fingerprint(streaming) == trace_fingerprint(again)
+        assert trace_fingerprint(streaming) != trace_fingerprint(eager)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_batches_never_iterate_streaming_sources(self, zipf_traces,
+                                                     config, workers,
+                                                     tmp_path, monkeypatch):
+        # Stream-eligible cells (analytic axes and fast replays alike)
+        # key and compile a synthetic source without generating a
+        # record: cold, and warm from the cache.
+        calls = []
+        iterate = StreamingNodeTrace.__iter__
+
+        def counting(trace):
+            calls.append(trace)
+            return iterate(trace)
+
+        monkeypatch.setattr(StreamingNodeTrace, "__iter__", counting)
+        cells = [SweepCell(size, zipf_traces,
+                           config.replace(cache_entries=size))
+                 for size in (128, 256)]
+        cells.append(SweepCell("prefetch", zipf_traces,
+                               config.replace(prefetch=4)))
+        with SweepRunner(workers=workers,
+                         cache_dir=str(tmp_path)) as cold:
+            first = cold.run_cells(cells)
+        assert cold.metrics.cache_misses == len(cells)
+        assert not calls
+        with SweepRunner(workers=workers,
+                         cache_dir=str(tmp_path)) as warm:
+            second = warm.run_cells(cells)
+        assert warm.metrics.cache_hits == len(cells)
+        assert not calls
+        assert run_dicts(second) == run_dicts(first)
+
+    def test_lists_and_streams_agree_serial_parallel_cached(
+            self, config, tmp_path):
+        workload = make_workload("zipf-kv")
+        eager = workload.generate_cluster(nodes=2, seed=SEED, scale=0.02)
+        streaming = workload.streaming_cluster(nodes=2, seed=SEED,
+                                               scale=0.02)
+
+        def cells(traces):
+            return [SweepCell(size, traces,
+                              config.replace(cache_entries=size))
+                    for size in (128, 256)] + [
+                SweepCell("intr", traces, config, "intr"),
+                SweepCell("ref", traces, config.replace(engine="reference")),
+            ]
+
+        expected = run_dicts(SweepRunner().run_cells(cells(eager)))
+        for traces in (eager, streaming):
+            assert run_dicts(SweepRunner().run_cells(cells(traces))) \
+                == expected
+            with SweepRunner(workers=2) as parallel:
+                assert run_dicts(parallel.run_cells(cells(traces))) \
+                    == expected
+            for _ in range(2):      # cold, then warm
+                cached = SweepRunner(cache_dir=str(tmp_path))
+                assert run_dicts(cached.run_cells(cells(traces))) \
+                    == expected
+        assert cached.metrics.cache_hits == len(cells(eager))
+
+
+def _no_iteration(trace):
+    raise AssertionError("StreamingNodeTrace iterated")
+
+
+def _identity(app=None, node=0, seed=SEED, scale=0.02):
+    app = make_workload("zipf-kv") if app is None else app
+    return trace_fingerprint(StreamingNodeTrace(app, node=node, seed=seed,
+                                                scale=scale))
+
+
+class TestSourceIdentity:
+    """How a synthetic source is keyed: by everything that generates it,
+    by nothing else."""
+
+    ZIPF_KNOBS = dict(tenants=500, server_processes=4, pages_per_tenant=32,
+                      lookups_per_process=9999, tenant_exponent=1.2,
+                      page_exponent=0.8, skew_spread=0.25, skew_variants=8,
+                      shared_pages=16, shared_fraction=0.05)
+
+    def test_equal_in_a_fresh_interpreter_with_another_hash_seed(self):
+        code = ("from repro.traces.synth import MixedWorkload, "
+                "make_workload\n"
+                "from repro.sim.runner import trace_fingerprint\n"
+                "print(trace_fingerprint(make_workload('zipf-kv')"
+                ".streaming_node(1, seed=3, scale=0.02)))\n"
+                "print(trace_fingerprint(MixedWorkload(['fft', 'lu'])"
+                ".streaming_node(0, seed=2, scale=0.05)))\n")
+        here = [trace_fingerprint(make_workload("zipf-kv").streaming_node(
+                    1, seed=3, scale=0.02)),
+                trace_fingerprint(MixedWorkload(["fft", "lu"]).streaming_node(
+                    0, seed=2, scale=0.05))]
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            out = subprocess.run([sys.executable, "-c", code], env=env,
+                                 check=True, capture_output=True,
+                                 text=True).stdout.split()
+            assert out == here
+
+    @pytest.mark.parametrize("field, value",
+                             [("node", 1), ("seed", SEED + 1),
+                              ("scale", 0.03)])
+    def test_changes_with_node_seed_scale(self, field, value):
+        assert _identity(**{field: value}) != _identity()
+
+    @pytest.mark.parametrize("knob", sorted(ZIPF_KNOBS))
+    def test_changes_with_every_zipf_knob(self, knob):
+        changed = make_workload("zipf-kv")
+        setattr(changed, knob, self.ZIPF_KNOBS[knob])
+        assert _identity(changed) != _identity()
+
+    def test_changes_with_the_mixed_app_list(self):
+        base = _identity(MixedWorkload(["fft", "lu"]))
+        assert _identity(MixedWorkload(["lu", "fft"])) != base
+        assert _identity(MixedWorkload(["fft", "lu", "radix"])) != base
+        assert _identity(MixedWorkload(["fft", "lu"])) == base
+
+    def test_changes_with_the_generator_source(self, monkeypatch):
+        before = _identity()
+        monkeypatch.setattr(runner_module, "_SYNTH_VERSION",
+                            "edited-source")
+        assert _identity() != before
+
+    def test_normalized_scalars_share_a_key(self):
+        numpy = pytest.importorskip("numpy")
+        assert _identity(node=numpy.int64(0), seed=numpy.int64(SEED),
+                         scale=numpy.float64(0.02)) == _identity()
+
+    def test_unstable_state_falls_back_to_the_content_hash(self):
+        # An attribute known only by its address, or a workload class
+        # outside the digested generator source, must not be keyed
+        # declaratively: the key is then the records' content hash.
+        app = make_app("fft")
+        app.extra = object()
+
+        class Custom(type(make_app("fft"))):
+            pass
+
+        for workload in (app, Custom()):
+            source = workload.streaming_node(0, seed=SEED, scale=0.05)
+            assert trace_fingerprint(source) == \
+                trace_fingerprint(list(source))
+
+    def test_code_version_covers_the_shared_merge(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(runner_module, "_CODE_VERSION", None)
+        monkeypatch.setattr(runner_module, "_digest_files",
+                            lambda paths: seen.extend(paths) or "x")
+        runner_module.code_version()
+        assert os.path.join("traces", "parallel.py") in \
+            {os.path.join(*path.split(os.sep)[-2:]) for path in seen}
+
+
+class TestTraceCensus:
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_matches_the_record_counts(self, name):
+        workload = make_workload(name)
+        source = workload.streaming_node(0, seed=SEED, scale=0.02)
+        records = list(source)
+        expected = (count_lookups(records), footprint_pages(records))
+        assert trace_census(source) == expected
+        assert trace_census(records) == expected
 
 
 class TestAnalyticAttribution:

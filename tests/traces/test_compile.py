@@ -17,7 +17,8 @@ from repro.traces.compile import (
     compile_streams,
 )
 from repro.traces.record import OP_SEND, TraceRecord
-from repro.traces.synth import WORKLOADS, make_workload
+from repro.traces.synth import WORKLOADS, MixedWorkload, make_workload
+from repro.traces.synth.base import StreamingNodeTrace
 
 
 def rec(ts, pid, page, npages=1):
@@ -285,6 +286,32 @@ class TestChunkedCompileDifferential:
         eager = compile_streams(workload.generate_node(0, seed=1,
                                                        scale=0.02))
         assert_byte_identical(compile_in_chunks(source, 64), eager)
+
+    def test_streaming_source_compiles_from_page_streams(self, name,
+                                                         monkeypatch):
+        source = make_workload(name).streaming_node(1, seed=3, scale=0.02)
+        records = list(source)
+
+        def no_records(trace):
+            raise AssertionError("StreamingNodeTrace iterated")
+
+        monkeypatch.setattr(StreamingNodeTrace, "__iter__", no_records)
+        assert_byte_identical(compile_streams(source),
+                              compile_streams(records))
+
+
+class TestStreamingSourceCompile:
+    def test_mixed_workload(self):
+        source = MixedWorkload(["barnes", "fft"],
+                               scale=0.05).streaming_node(0, seed=2)
+        assert_byte_identical(compile_streams(source),
+                              compile_streams(list(source)))
+
+    def test_loop_knob_still_compiles_records(self):
+        source = make_workload("radix").streaming_node(0, seed=1,
+                                                       scale=0.02)
+        assert_byte_identical(compile_streams(source, kernel=False),
+                              compile_streams(source))
 
 
 class TestCompileKernel:

@@ -160,3 +160,30 @@ class TestPatternShape:
         steady = pages[400:]
         hot = [p for p in steady if p < 40]      # footprint // 10
         assert len(hot) > len(steady) * 0.8
+
+
+class TestStreamingNodeTraceArguments:
+    """Bad trace coordinates fail when the source is built, by value."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("node", 1.5), ("node", "0"), ("node", True), ("node", None),
+        ("seed", 2.0), ("seed", "7"), ("seed", False),
+        ("scale", 0), ("scale", -0.5), ("scale", float("nan")),
+        ("scale", float("inf")), ("scale", "0.1"), ("scale", True),
+    ])
+    def test_bad_value_names_itself(self, field, value):
+        from repro.traces.synth.base import StreamingNodeTrace
+        kwargs = {"node": 0, "seed": 0, "scale": 0.1, field: value}
+        with pytest.raises(ConfigError) as excinfo:
+            StreamingNodeTrace(make_app("fft"), **kwargs)
+        assert repr(value) in str(excinfo.value)
+
+    def test_values_are_normalized(self):
+        numpy = pytest.importorskip("numpy")
+        source = make_app("fft").streaming_node(
+            numpy.int64(1), seed=numpy.int32(2), scale=numpy.float64(0.1))
+        assert (type(source.node), type(source.seed), type(source.scale)) \
+            == (int, int, float)
+        assert (source.node, source.seed, source.scale) == (1, 2, 0.1)
+        assert list(source) == make_app("fft").generate_node(1, seed=2,
+                                                             scale=0.1)
