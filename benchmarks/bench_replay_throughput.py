@@ -19,12 +19,12 @@ throughput within noise of the untraced fast path (gated at
 
 The standalone run then gates single-cell solves: each trace under each
 mechanism, run as a batch of one through :class:`SweepRunner`, must be
-byte-identical to fast replay (utlb solved as an analytic axis of one,
-intr replayed), and the single-cell utlb solve must be at least
+byte-identical to fast replay (utlb and intr each solved as an
+analytic axis of one), and the single-cell utlb solve must be at least
 ``--min-single-cell-speedup`` times faster than fast replay
 (best-of-repeats).  The sweep-grid phase re-runs the grid with the
-solver off and checks the default runner batch-solves every utlb cell
-with identical results.
+solver off and checks the default runner batch-solves every utlb and
+intr cell with identical results.
 
 It also gates the analytic axis solver: the utlb
 cache-size axis of the grid (per app, every ``GRID_CACHE_ENTRIES``
@@ -132,10 +132,10 @@ def _solve_all(traces):
             result = runner.run({0: records}, SimConfig(), mechanism)
             stats[app][mechanism] = result.to_dict()["nodes"][0]
             solved += runner.metrics.analytic_cells
-    if solved != len(traces):
+    if solved != 2 * len(traces):
         raise SystemExit(
-            "FAIL: runner solved %d single cells, expected %d (every utlb cell)"
-            % (solved, len(traces))
+            "FAIL: runner solved %d single cells, expected %d (every utlb "
+            "and intr cell)" % (solved, 2 * len(traces))
         )
     return json.dumps(stats, sort_keys=True)
 
@@ -155,9 +155,8 @@ def _best_of(function, traces, repeats):
 def _single_cell_speedup(traces, repeats, min_speedup):
     """The single-cell parity gate plus the solve-vs-fast speedup point.
 
-    Parity covers the full mechanism matrix (utlb solved, intr replayed
-    by the same runner); the timed comparison is utlb only, the slice
-    the solver answers.
+    Parity covers the full mechanism matrix (utlb and intr, both solved
+    by the same runner); the timed comparison is utlb only.
     """
     if _solve_all(traces) != _replay_all(traces, "fast"):
         raise SystemExit("FAIL: single-cell batches diverged from the fast engine")
@@ -166,7 +165,7 @@ def _single_cell_speedup(traces, repeats, min_speedup):
     if solved_stats != fast_stats:
         raise SystemExit("FAIL: single-cell utlb solve diverged from the fast engine")
     speedup = fast_s / solved_s
-    print("single-cell batches byte-identical to fast (utlb solved, intr replayed)")
+    print("single-cell batches byte-identical to fast (utlb and intr solved)")
     print(
         "  utlb: fast replay %.3fs  single-cell solve %.3fs  speedup %.1fx"
         % (fast_s, solved_s, speedup)
@@ -299,17 +298,18 @@ def _axis_speedup(traces, repeats, min_speedup):
 
 
 def _solved_grid(traces, serial_payload, serial_metrics):
-    """The default runner must batch-solve every utlb grid cell, and the
-    grid must be byte-identical to per-cell replay (``analytic=False``)."""
+    """The default runner must batch-solve every utlb and intr grid cell,
+    and the grid must be byte-identical to per-cell replay
+    (``analytic=False``)."""
     payload, _ = _run_grid(traces, workers=1, analytic=False)
     if payload != serial_payload:
         raise SystemExit("FAIL: batch-solved sweep grid diverged from per-cell replay")
-    expected = len(APPS) * len(GRID_CACHE_ENTRIES)
+    expected = len(APPS) * len(GRID_CACHE_ENTRIES) * len(GRID_MECHANISMS)
     solved = serial_metrics.analytic_cells
     if solved != expected:
         raise SystemExit(
             "FAIL: runner solved %d grid cells, expected %d (every "
-            "utlb cell)" % (solved, expected)
+            "utlb and intr cell)" % (solved, expected)
         )
     print(
         "batch-solved grid byte-identical to replay (%d of %d cells "

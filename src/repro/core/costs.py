@@ -203,14 +203,20 @@ class CostModel:
         }
 
     def unit_costs(self):
-        """The five per-event constants of the no-prefetch UTLB fast path.
+        """The eight per-event constants of the batch solver's cells.
 
-        With ``prefetch == 1`` and ``prepin == 1`` every charged event is
-        one of exactly five fixed prices — check, NIC hit probe, pin one
-        page, unpin one page, miss-fetch one entry — so a whole replay's
-        time fields are reproducible from event *counts* alone (via
-        :func:`accumulated_cost`).  The analytic axis solver ships this
-        dict to its workers instead of the full model.
+        On the solver's paths every charged event is one fixed price, so
+        a whole replay's time fields are reproducible from event
+        *counts* alone (via :func:`accumulated_cost`).  The analytic
+        axis solver ships this dict to its workers instead of the full
+        model.  Which mechanism charges which:
+
+        * both: ``ni_hit``, the NIC probe every lookup pays;
+        * utlb (``prefetch == 1``, ``prepin == 1``): ``check`` (the
+          user-level check), ``pin`` and ``unpin`` (one page, user
+          rates) and ``miss`` (fetch one entry);
+        * intr: ``interrupt`` (every NIC miss), ``kernel_pin`` and
+          ``kernel_unpin`` (one page, from the interrupt handler).
         """
         return {
             "check": self.user_check_hit,
@@ -218,6 +224,9 @@ class CostModel:
             "pin": self.pin_cost(1),
             "unpin": self.unpin_cost(1),
             "miss": self.miss_cost(1),
+            "interrupt": self.interrupt_cost,
+            "kernel_pin": self.kernel_pin_cost(1),
+            "kernel_unpin": self.kernel_unpin_cost(1),
         }
 
     # -- host-side ----------------------------------------------------------

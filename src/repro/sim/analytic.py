@@ -26,12 +26,17 @@ Two axis kinds are solved:
   off check misses, NIC misses, unpins, invalidations, evictions, and
   final occupancy for every limit on the axis.
 * **cache axis** — cells identical except ``(cache_entries,
-  associativity, offsetting)`` with no pinning limit (Table 8).  Per
-  distinct ``(num_sets, offsetting)`` geometry one pass computes each
-  access's within-set LRU recency depth (bounded at the axis's largest
+  associativity, offsetting)`` and mechanism, with no pinning limit
+  (Table 8, and the utlb/intr pairs of Tables 4 and 6).  Per distinct
+  ``(num_sets, offsetting)`` geometry one pass computes each access's
+  within-set LRU recency depth (bounded at the axis's largest
   associativity): depth ``>= A`` means a miss at associativity ``A``.
   The ubiquitous direct-mapped case vectorizes to a stable sort by set
-  index plus adjacent comparisons.
+  index plus adjacent comparisons.  The interrupt baseline keeps the
+  same NIC cache (Section 6.2), so its NIC misses — and with them its
+  interrupts and pins — are the utlb twin's; its unpins are its fills
+  minus the entries still cached at the end, which the pass also
+  counts per pid.
 
 The materialized per-cell ``NodeResult`` dicts are **byte-identical** to
 the fast engine's — same counters, same bit-exact float time fields
@@ -43,12 +48,13 @@ cell by cell.
 :func:`plan_axes` is the :class:`~repro.sim.runner.SweepRunner`'s
 planner: it puts every eligible pending cell on exactly one axis — a
 lone cell is an axis of one — and leaves everything else (other
-mechanisms, non-LRU policies, prefetch/prepin batching, classification,
-tracing, reference engine, pinning limits on a set-associative cache)
-to per-cell replay.
+mechanisms, pinning-limited intr, non-LRU policies, prefetch/prepin
+batching, classification, tracing, reference engine, pinning limits on
+a set-associative cache) to per-cell replay.
 """
 
 import json
+from array import array
 from bisect import bisect_left
 
 from repro import params
@@ -56,7 +62,6 @@ from repro.errors import CapacityError
 from repro.sim.kernels import (
     cache_pass as _cache_pass,
     cache_dict as _cache_dict,
-    key_shift as _key_shift,
     materialize_cache as _materialize_cache,
     node_dict as _node_dict,
     pid_offsets as _pid_offsets,
@@ -73,9 +78,10 @@ class AnalyticAxis:
     """One planned axis: the member cell indices plus a picklable spec.
 
     ``spec`` is what travels to workers (axis kind, geometry, the
-    per-cell axis values aligned with ``indices``, and the cost model's
-    five unit prices); ``solve_axis_node`` consumes it next to one
-    node's compiled streams.
+    per-cell axis values aligned with ``indices`` — a cache axis's
+    geometries carry each cell's mechanism — and the cost model's unit
+    prices); ``solve_axis_node`` consumes it next to one node's compiled
+    streams.
     """
 
     __slots__ = ("kind", "indices", "spec")
@@ -93,10 +99,11 @@ class AnalyticAxis:
 def cell_eligible(config, mechanism):
     """Can this cell ride an analytic axis at all (axis fields aside)?
 
-    Asks the mechanism registry: today only ``utlb`` opts in, and only
-    on the fast engine's default path — untraced, unclassified, one page
-    per pin call and one entry per miss fetch, LRU pinned-page
-    replacement.  Everything else — including user-supplied policy
+    Asks the mechanism registry, and only on the fast engine, untraced:
+    ``utlb`` opts in on its default path — unclassified, one page per
+    pin call and one entry per miss fetch, LRU pinned-page replacement —
+    and ``intr`` on a direct-mapped, unclassified cache with no pinning
+    limit.  Everything else — including user-supplied policy
     *instances* — replays per cell.  Unknown mechanism names are simply
     ineligible (dispatch fails loudly later, in the worker).
     """
@@ -112,8 +119,10 @@ def plan_axes(cells, pending, configs, fingerprint):
     limit joins a cache axis.  Two cells share an axis when they replay
     the identical traces (by trace fingerprint) under configs that
     differ *only* in that kind's field(s): ``memory_limit_bytes``, or
-    ``(cache_entries, associativity, offsetting)``.  An axis of one cell
-    is solved too — its single pass is still cheaper than a replay.
+    ``(cache_entries, associativity, offsetting)`` plus the mechanism —
+    a trace's utlb and intr cells on one geometry share one cache pass.
+    The cost model stays in the key.  An axis of one cell is solved
+    too — its single pass is still cheaper than a replay.
     ``rest`` preserves ``pending``'s order for per-cell replay.
     """
     groups = {}
@@ -121,7 +130,7 @@ def plan_axes(cells, pending, configs, fingerprint):
         cell = cells[index]
         config = configs[index]
         if config.memory_limit_bytes is None:
-            kind, fields = "cache", CACHE_AXIS_FIELDS
+            kind, fields = "cache", CACHE_AXIS_FIELDS + ("mechanism",)
         elif config.associativity == 1:
             kind, fields = "memory", ("memory_limit_bytes",)
         else:
@@ -151,7 +160,8 @@ def plan_axes(cells, pending, configs, fingerprint):
                 "kind": "cache",
                 "geometries": [[configs[m].cache_entries,
                                 configs[m].associativity,
-                                bool(configs[m].offsetting)]
+                                bool(configs[m].offsetting),
+                                cells[m].mechanism]
                                for m in members],
             }
         spec["unit_costs"] = config0.cost_model.unit_costs()
@@ -204,7 +214,7 @@ def _solve_memory_axis(compiled, spec):
 
 
 def _memory_pass(compiled, num_sets, offsetting, lcap):
-    """One traversal; everything every limit on the axis needs.
+    """One analysis of a node; everything every limit on the axis needs.
 
     Per pid: access count, first accesses (compulsory check misses), the
     LRU stack-distance histogram of page reuses (``d`` = distinct same-
@@ -214,123 +224,201 @@ def _memory_pass(compiled, num_sets, offsetting, lcap):
     access to the page's set — under direct mapping it always misses and
     overwrites, independent of ``L``).  Globally: the invalidation
     histogram over ``min(d, K')`` — ``K'`` being the pid's distinct-page
-    count at the interval's first conflict, measured *after* that
+    count at the interval's *first* conflict, measured *after* that
     access's own stack update, because a victim page is invalidated in
     the user-check phase, before the conflicting access's fill — and the
     end-of-trace stack distance of each set's final occupant (the set is
     still occupied at limit ``L`` iff that distance is ``< L``).
 
-    The exact per-pid stack is an ascending last-access-time list probed
-    with ``bisect`` — delete-and-append keeps it sorted because clocks
-    only grow.
+    The set side is numpy.  One sort of the unique ``(set << 32) | time``
+    keys puts every set's accesses in time order, so an interval's first
+    conflict is the opening access's same-set successor when that holds
+    a different key, a reuse was conflicted iff its same-set predecessor
+    holds a different key, and a set's last access is its final
+    occupant.  ``K'`` never exceeds the interval's own distance (the
+    snapshot is taken inside it), so a conflicted interval contributes
+    ``K'`` and an unconflicted one its closing ``d`` (or, for a page's
+    last interval, its end distance).  The stack side is
+    :func:`_stack_pass`, one lean loop per pid that records every
+    distance and answers the ``K'`` queries scheduled here.
+
+    The trace must hold at least one lookup.  Index arrays are int32: a
+    trace of ``2**31`` lookups would not fit in memory (its page stream
+    alone is 16 GiB).
     """
+    import numpy
+
     order = compiled.pid_order
-    npids = len(order)
-    offsets = _pid_offsets(compiled, num_sets, offsetting)
-    shift = _key_shift(compiled)
-    keybase = [i << shift for i in range(npids)]
-    mask = (1 << shift) - 1
+    idx, pages = compiled.numpy_views()
+    total = len(idx)
+    i32 = numpy.int32
+    width = lcap + 1
 
-    times_list = [[] for _ in range(npids)]
-    lasts = [{} for _ in range(npids)]
-    clocks = [0] * npids
-    n = [0] * npids
-    firsts = [0] * npids
-    conflicted = [0] * npids
-    hist_d = [[0] * (lcap + 1) for _ in range(npids)]
-    hist_dnc = [[0] * (lcap + 1) for _ in range(npids)]
-    inv_hist = [0] * (lcap + 1)
-    set_last = {}               # set index -> key of its last accessor
-    open_k = {}                 # key -> K' of its open interval's first conflict
-    bl = bisect_left
+    # -- set analysis ----------------------------------------------------
+    if offsetting:
+        skey = pages + numpy.array(
+            _pid_offsets(compiled, num_sets, True), dtype=numpy.uint64)[idx]
+        skey %= numpy.uint64(num_sets)
+    else:
+        skey = pages % numpy.uint64(num_sets)
+    skey <<= numpy.uint64(32)
+    skey |= numpy.arange(total, dtype=numpy.uint64)
+    skey.sort()                 # unique keys: an unstable sort is exact
+    by_set = (skey & numpy.uint64(0xFFFFFFFF)).astype(i32)
+    skey >>= numpy.uint64(32)
+    same_set = skey[1:] == skey[:-1]
+    del skey
+    # Global positions of the sets' final occupants (last of each group).
+    occupants = by_set[numpy.flatnonzero(numpy.append(~same_set, True))]
+    sets_touched = len(occupants)
+    column = idx[by_set]
+    same_key = column[1:] == column[:-1]
+    column = pages[by_set]
+    same_key &= column[1:] == column[:-1]
+    del column
 
-    for i, v in zip(compiled.index_stream, compiled.page_stream):
-        n[i] += 1
-        times = times_list[i]
-        last = lasts[i]
-        t = clocks[i]
-        clocks[i] = t + 1
-        tprev = last.get(v)
-        if tprev is None:
-            firsts[i] += 1
-            d = -1
-        else:
-            pos = (len(times) - 1 if times[-1] == tprev
-                   else bl(times, tprev))
-            d = len(times) - pos - 1
-            del times[pos]
-        times.append(t)
-        last[v] = t
-        key = keybase[i] | v
-        s = (v + offsets[i]) % num_sets
-        occupant = set_last.get(s)
-        if (occupant is not None and occupant != key
-                and occupant not in open_k):
-            # First conflict of the occupant's open interval: snapshot
-            # the occupant pid's distinct-page count since the occupant
-            # page's last access (its current stack distance) — *after*
-            # this access's own stack update, so a same-pid conflictor
-            # that itself triggers the victim's unpin is counted.
-            oi = occupant >> shift
-            otimes = times_list[oi]
-            open_k[occupant] = (
-                len(otimes) - bl(otimes, lasts[oi][occupant & mask]) - 1)
-        set_last[s] = key
-        if d >= 0:
-            kprime = open_k.pop(key, None)
-            dc = d if d < lcap else lcap
-            hist_d[i][dc] += 1
-            if kprime is None:
-                hist_dnc[i][dc] += 1
-                inv_hist[dc] += 1
-            else:
-                conflicted[i] += 1
-                m = d if d < kprime else kprime
-                inv_hist[m if m < lcap else lcap] += 1
+    # -- pid-local coordinates: a stable sort by pid index lists each
+    # pid's accesses in time order, so a position minus the pid's start
+    # is the pid-local time ------------------------------------------
+    by_pid = numpy.argsort(idx, kind="stable").astype(i32)
+    grouped = numpy.empty(total, dtype=i32)
+    grouped[by_pid] = numpy.arange(total, dtype=i32)
+    # Reuses whose interval saw no conflict, by grouped position.
+    unconflicted = numpy.zeros(total, dtype=bool)
+    unconflicted[grouped[by_set[1:][same_key]]] = True
+    # Each interval's first conflicting access (a global position), by
+    # the grouped position of the access that opened it; -1 for none.
+    same_set &= ~same_key
+    del same_key
+    conflictor = numpy.full(total, -1, dtype=i32)
+    conflictor[grouped[by_set[:-1][same_set]]] = by_set[1:][same_set]
+    del same_set
+    occupants = numpy.sort(grouped[occupants])
+    del by_set, grouped
 
-    # Final open intervals: one per distinct page (its last access to
-    # end of trace).  An unpin inside it happens iff d_end >= L, and
-    # finds a live entry iff min(d_end, K') >= L — same law as closed
-    # intervals, no reuse to close them.
-    dend = {}
-    for i in range(npids):
-        times = times_list[i]
-        depth = len(times)
-        kb = keybase[i]
-        for v, tlast in lasts[i].items():
-            de = depth - bl(times, tlast) - 1
-            key = kb | v
-            dend[key] = de
-            kprime = open_k.get(key)
-            m = de if kprime is None else (de if de < kprime else kprime)
-            inv_hist[m if m < lcap else lcap] += 1
+    # -- the per-pid stack loops, then histograms by bincount ------------
+    n = []
+    firsts = []
+    conflicted = []
+    suffix_d = []
+    suffix_dnc = []
+    inv_hist = numpy.zeros(width, dtype=numpy.int64)
+    occ_hist = numpy.zeros(width, dtype=numpy.int64)
+    lo = 0
+    for pid in order:
+        stream = compiled.streams[pid]
+        hi = lo + len(stream)
+        conflicts = conflictor[lo:hi]
+        opened = numpy.flatnonzero(conflicts >= 0)
+        # The pid's local time at each first conflict: its last access
+        # at or before the conflicting one (which may be its own).
+        due = numpy.searchsorted(by_pid[lo:hi], conflicts[opened],
+                                 side="right") - 1
+        schedule = numpy.argsort(due, kind="stable")
+        dist, ends, kprimes = _stack_pass(
+            _previous_access(stream),
+            array("i", due[schedule].astype(i32).tobytes()),
+            array("i", opened[schedule].astype(i32).tobytes()))
+        del due, schedule
 
-    # A set's final occupant is its last accessor (a hit leaves the
-    # entry, a miss fills it), and nothing conflicts it afterwards — so
-    # the set is empty at the end iff the occupant was unpinned, i.e.
-    # iff its end distance reached the limit.
-    occ_hist = [0] * (lcap + 1)
-    for key in set_last.values():
-        de = dend[key]
-        occ_hist[de if de < lcap else lcap] += 1
+        dist = numpy.frombuffer(dist, dtype=i32)
+        reused = dist >= 0
+        clipped = numpy.minimum(dist, lcap)
+        unc = unconflicted[lo:hi]
+        hist_dnc = numpy.bincount(clipped[unc], minlength=width)
+        reuses = int(numpy.count_nonzero(reused))
+        n.append(hi - lo)
+        firsts.append(hi - lo - reuses)
+        conflicted.append(reuses - int(numpy.count_nonzero(unc)))
+        suffix_d.append(_suffix(
+            numpy.bincount(clipped[reused], minlength=width)))
+        suffix_dnc.append(_suffix(hist_dnc))
+        del dist, reused, clipped, unc
+
+        # Every interval contributes once: unconflicted closed ones
+        # their distance, conflicted ones K', and a page's unconflicted
+        # last interval its end distance (pages touched after it).
+        ends = numpy.array(ends, dtype=i32)
+        dend = numpy.arange(len(ends) - 1, -1, -1, dtype=i32)
+        numpy.minimum(dend, lcap, out=dend)
+        inv_hist += hist_dnc
+        inv_hist += numpy.bincount(
+            numpy.minimum(numpy.frombuffer(kprimes, dtype=i32), lcap),
+            minlength=width)
+        inv_hist += numpy.bincount(dend[conflicts[ends] < 0],
+                                   minlength=width)
+        first, last = numpy.searchsorted(occupants, (lo, hi))
+        occ_hist += numpy.bincount(
+            dend[numpy.searchsorted(ends, occupants[first:last] - lo)],
+            minlength=width)
+        lo = hi
 
     return {
         "n": n,
         "firsts": firsts,
         "conflicted": conflicted,
-        "suffix_d": [_suffix(h) for h in hist_d],
-        "suffix_dnc": [_suffix(h) for h in hist_dnc],
+        "suffix_d": suffix_d,
+        "suffix_dnc": suffix_dnc,
         "suffix_inv": _suffix(inv_hist),
         "suffix_occ": _suffix(occ_hist),
-        "sets_touched": len(set_last),
+        "sets_touched": sets_touched,
     }
 
 
+def _previous_access(stream):
+    """Per access, the pid-local time of the same page's previous access
+    (-1 for a first access), as an ``array('i')``."""
+    import numpy
+
+    pages = numpy.frombuffer(stream, dtype=numpy.uint64)
+    by_page = numpy.argsort(pages, kind="stable").astype(numpy.int32)
+    repeat = pages[by_page[1:]] == pages[by_page[:-1]]
+    prev = numpy.full(len(pages), -1, dtype=numpy.int32)
+    prev[by_page[1:][repeat]] = by_page[:-1][repeat]
+    return array("i", prev.tobytes())
+
+
+def _stack_pass(prev, due, asked):
+    """One pid's LRU stack walked in local time.
+
+    The exact stack is an ascending last-access-time list probed with
+    ``bisect`` — delete-and-append keeps it sorted because clocks only
+    grow.  Returns ``(dist, ends, kprimes)``: every access's stack
+    distance (-1 for a first access), the final list (each page's last
+    access time, ascending), and one ``K'`` per query — query ``q``
+    asks, right after local time ``due[q]``, how many distinct pages
+    were touched since local time ``asked[q]`` (``due`` ascending).
+    """
+    dist = array("i", [-1]) * len(prev)
+    kprimes = array("i")
+    times = []
+    bl = bisect_left
+    pending = len(due)
+    q = 0
+    next_due = due[0] if pending else -1
+    for t, tprev in enumerate(prev):
+        if tprev < 0:
+            times.append(t)
+        elif times[-1] == tprev:
+            times[-1] = t
+            dist[t] = 0
+        else:
+            pos = bl(times, tprev)
+            dist[t] = len(times) - pos - 1
+            del times[pos]
+            times.append(t)
+        while t == next_due:
+            kprimes.append(len(times) - bl(times, asked[q]) - 1)
+            q += 1
+            next_due = due[q] if q < pending else -1
+    return dist, times, kprimes
+
+
 def _suffix(hist):
-    """``out[k] = sum(hist[k:])`` with a trailing zero sentinel."""
-    out = [0] * (len(hist) + 1)
-    for k in range(len(hist) - 1, -1, -1):
-        out[k] = out[k + 1] + hist[k]
+    """``out[k] = sum(hist[k:])`` of a numpy histogram, as a list of
+    ints with a trailing zero sentinel."""
+    out = hist[::-1].cumsum()[::-1].tolist()
+    out.append(0)
     return out
 
 
@@ -384,10 +472,11 @@ def _solve_cache_axis(compiled, spec):
     firsts = stream_firsts(compiled)
 
     # One pass per distinct (num_sets, offsetting), shared by every
-    # associativity on that geometry (Table 8's 1024/1, 2048/2, 4096/4
-    # points all have 1024 sets), bounded at the largest one.
+    # associativity and mechanism on that geometry (Table 8's 1024/1,
+    # 2048/2, 4096/4 points all have 1024 sets), bounded at the largest
+    # associativity.
     passes = {}
-    for entries, assoc, offsetting in geometries:
+    for entries, assoc, offsetting, _mechanism in geometries:
         key = (entries // assoc, offsetting)
         passes[key] = max(passes.get(key, 0), assoc)
     pass_data = {key: _cache_pass(compiled, key[0], key[1], amax)

@@ -1,8 +1,9 @@
 """The pass machinery of the analytic axis solver.
 
-:mod:`repro.sim.analytic` answers utlb cells from one pass over a node's
-compiled page streams instead of a replay.  This module holds the parts
-of that pass that do not depend on the axis kind: the collision-free
+:mod:`repro.sim.analytic` answers utlb and interrupt-baseline cells
+from one pass over a node's compiled page streams instead of a replay.
+This module holds the parts of that pass that do not depend on the axis
+kind: the collision-free
 ``(pid, page)`` key packing, the per-process set offsets mirroring NIC
 registration order, the distinct-page counts (compulsory check misses),
 the NIC-cache pass itself, and the helpers that materialize a cell's
@@ -86,17 +87,21 @@ def stream_firsts(compiled):
 
 
 def cache_pass(compiled, num_sets, offsetting, amax):
-    """Per-pid within-set LRU depth histogram plus per-set key counts.
+    """Per-pid within-set LRU depth histogram, per-set key counts, and
+    per-pid final occupancy.
 
-    Returns ``(hist, setkey_hist)``: ``hist[i][j]`` counts pid ``i``'s
-    accesses at within-set recency depth ``j`` (depth = distinct other
-    keys touched in the set since this key's last access; bucket
-    ``amax`` holds first accesses and any depth >= amax), so the miss
-    count at associativity ``A <= amax`` is ``sum(hist[i][A:])``.
+    Returns ``(hist, setkey_hist, occupancy)``: ``hist[i][j]`` counts
+    pid ``i``'s accesses at within-set recency depth ``j`` (depth =
+    distinct other keys touched in the set since this key's last access;
+    bucket ``amax`` holds first accesses and any depth >= amax), so the
+    miss count at associativity ``A <= amax`` is ``sum(hist[i][A:])``.
     ``setkey_hist[j]`` counts sets holding ``min(distinct keys, amax) == j``
     — the A-independent form of final occupancy, since every distinct
     key is filled at least once and sets only lose entries to
     invalidation (never here: no pinning limit, no unpins).
+    ``occupancy[A][i]`` counts pid ``i``'s entries still cached at the
+    end at associativity ``A`` (``occupancy[0]`` is all zero): the
+    interrupt baseline unpins every other page it pinned.
     """
     if amax == 1:
         return _cache_pass_numpy(compiled, num_sets, offsetting)
@@ -107,7 +112,8 @@ def _cache_pass_numpy(compiled, num_sets, offsetting):
     """Vectorized direct-mapped pass: stable sort by set, compare
     neighbours.  Within one set the stable order is time order, so an
     access misses iff it is the set's first or the previous same-set
-    access used a different key."""
+    access used a different key, and a set's last access is its final
+    occupant."""
     import numpy
 
     idx, pages = compiled.numpy_views()
@@ -127,12 +133,17 @@ def _cache_pass_numpy(compiled, num_sets, offsetting):
     numpy.not_equal(s_sorted[1:], s_sorted[:-1], out=new_set[1:])
     miss_sorted = new_set.copy()
     miss_sorted[1:] |= k_sorted[1:] != k_sorted[:-1]
-    misses = numpy.bincount(idx[sort][miss_sorted], minlength=len(compiled.pid_order))
+    npids = len(compiled.pid_order)
+    i_sorted = idx[sort]
+    misses = numpy.bincount(i_sorted[miss_sorted], minlength=npids)
     hist = [
         [len(compiled.streams[pid]) - int(misses[i]), int(misses[i])]
         for i, pid in enumerate(compiled.pid_order)
     ]
-    return hist, [0, int(new_set.sum())]
+    last_of_set = numpy.append(new_set[1:], True)
+    occupants = numpy.bincount(i_sorted[last_of_set], minlength=npids)
+    occupancy = [[0] * npids, [int(count) for count in occupants]]
+    return hist, [0, int(new_set.sum())], occupancy
 
 
 def _cache_pass_python(compiled, num_sets, offsetting, amax):
@@ -162,7 +173,10 @@ def _cache_pass_python(compiled, num_sets, offsetting, amax):
                 hist[i][1] += 1
             else:
                 hist[i][0] += 1
-        return hist, [0, len(recency)]
+        occupants = [0] * npids
+        for key in recency.values():
+            occupants[key >> shift] += 1
+        return hist, [0, len(recency)], [[0] * npids, occupants]
 
     for i, v in zip(compiled.index_stream, compiled.page_stream):
         s = (v + offsets[i]) % num_sets
@@ -192,7 +206,16 @@ def _cache_pass_python(compiled, num_sets, offsetting, amax):
     setkey_hist = [0] * (amax + 1)
     for count in setkeys.values():
         setkey_hist[count] += 1
-    return hist, setkey_hist
+    # The recency lists are the contents at every associativity at once:
+    # at associativity A a set holds its A most recent keys.
+    occupancy = [[0] * npids for _ in range(amax + 1)]
+    for stack in recency.values():
+        for depth, key in enumerate(stack):
+            occupancy[depth + 1][key >> shift] += 1
+    for assoc in range(1, amax):
+        below = occupancy[assoc]
+        occupancy[assoc + 1] = [a + b for a, b in zip(below, occupancy[assoc + 1])]
+    return hist, setkey_hist, occupancy
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +224,7 @@ def _cache_pass_python(compiled, num_sets, offsetting, amax):
 
 
 def pid_stats_dict(n, check_misses, ni_misses, unpins, unit):
-    """One pid's ``TranslationStats.to_dict()``, rebuilt from counts.
+    """One utlb pid's ``TranslationStats.to_dict()``, rebuilt from counts.
 
     Every fast-engine time field accumulates a single constant — check
     0.5, NIC probe 0.8, pin(1), unpin(1), miss(1) — and repeated float
@@ -227,6 +250,38 @@ def pid_stats_dict(n, check_misses, ni_misses, unpins, unit):
         "ni_hit_time_us": accumulated_cost(unit["ni_hit"], n),
         "ni_miss_time_us": accumulated_cost(unit["miss"], ni_misses),
         "interrupt_time_us": 0.0,
+    }
+
+
+def intr_stats_dict(n, ni_misses, occupied, unit):
+    """One interrupt-baseline pid's ``TranslationStats.to_dict()``.
+
+    With no pinning limit every NIC miss ``m`` interrupts the host,
+    which pins the page and installs it; the page is unpinned exactly
+    when its entry is evicted, so the pid's unpins are its fills minus
+    the ``occupied`` entries still cached at the end.  The handler runs
+    in the kernel, so pin and unpin charge the kernel rates.
+    """
+    unpins = ni_misses - occupied
+    return {
+        "lookups": n,
+        "check_misses": 0,
+        "ni_accesses": n,
+        "ni_hits": n - ni_misses,
+        "ni_misses": ni_misses,
+        "ni_evictions": 0,
+        "pin_calls": ni_misses,
+        "pages_pinned": ni_misses,
+        "unpin_calls": unpins,
+        "pages_unpinned": unpins,
+        "interrupts": ni_misses,
+        "entries_fetched": 0,
+        "check_time_us": 0.0,
+        "pin_time_us": accumulated_cost(unit["kernel_pin"], ni_misses),
+        "unpin_time_us": accumulated_cost(unit["kernel_unpin"], unpins),
+        "ni_hit_time_us": accumulated_cost(unit["ni_hit"], n),
+        "ni_miss_time_us": 0.0,
+        "interrupt_time_us": accumulated_cost(unit["interrupt"], ni_misses),
     }
 
 
@@ -267,9 +322,10 @@ def node_dict(pid_rows, cache):
 
 
 def materialize_cache(compiled, geometry, pass_data, n, firsts, unit):
-    """Read one (entries, assoc, offsetting) cell off its shared pass."""
-    entries, assoc, offsetting = geometry
-    hist, setkey_hist = pass_data[(entries // assoc, offsetting)]
+    """Read one (entries, assoc, offsetting, mechanism) cell off its
+    shared pass; the utlb and intr twins of a geometry share the pass."""
+    entries, assoc, offsetting, mechanism = geometry
+    hist, setkey_hist, occupancy = pass_data[(entries // assoc, offsetting)]
     index_of = {pid: i for i, pid in enumerate(compiled.pid_order)}
     rows = []
     misses = 0
@@ -277,7 +333,11 @@ def materialize_cache(compiled, geometry, pass_data, n, firsts, unit):
     for pid in compiled.pids:
         i = index_of[pid]
         ni = sum(hist[i][assoc:])
-        rows.append((pid, pid_stats_dict(n[i], firsts[i], ni, 0, unit)))
+        if mechanism == "intr":
+            row = intr_stats_dict(n[i], ni, occupancy[assoc][i], unit)
+        else:
+            row = pid_stats_dict(n[i], firsts[i], ni, 0, unit)
+        rows.append((pid, row))
         misses += ni
         accesses += n[i]
     occupied = sum(

@@ -237,6 +237,17 @@ def _validate_sparta(config):
             "(associativity must be 1, got %d)" % (config.associativity,))
 
 
+def _intr_analytic(config):
+    # The solver's cache pass is the fast path's direct-mapped cache;
+    # with no pinning limit, pins and unpins follow NIC fills and
+    # evictions exactly.  A limit unpins the oldest *installed* page
+    # (FIFO), which no stack algorithm models: Table 5's intr cells
+    # replay.
+    return (config.associativity == 1
+            and not config.classify
+            and config.memory_limit_bytes is None)
+
+
 def _utlb_analytic(config):
     # Exactly the fast engine's default path: unclassified, one page per
     # pin call and one entry per miss fetch, LRU pinned-page replacement
@@ -334,6 +345,7 @@ register(Mechanism(
     validate=_validate_intr,
     streams_eligible=lambda config: (config.associativity == 1
                                      and not config.classify),
+    analytic_eligible=_intr_analytic,
 ))
 
 register(Mechanism(

@@ -14,9 +14,10 @@ paths — serial, cross-process, and cached — so a warm cache run is
 byte-identical to a cold one by construction.
 
 Before any replay is scheduled, an *axis-solver tier* intercepts every
-eligible cell: utlb cells with default-path LRU settings are grouped
-with the cells that replay the same traces under configs differing only
-along one sweep axis (``memory_limit_bytes``, or the cache geometry) and
+eligible cell: utlb cells with default-path LRU settings and unlimited
+intr cells on a direct-mapped cache are grouped with the cells that
+replay the same traces under configs differing only along one sweep
+axis (``memory_limit_bytes``, or the cache geometry and mechanism) and
 answered by ``repro.sim.analytic`` — one Mattson-style pass per node for
 the whole group (a lone cell is a group of one) instead of one replay
 per cell, byte-identical by construction (the determinism tests diff

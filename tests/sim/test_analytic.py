@@ -31,6 +31,7 @@ from repro.sim.analytic import (
     _memory_pass,
 )
 from repro.sim.config import SimConfig
+from repro.sim.mechanisms import resolve
 from repro.sim.runner import SweepCell, SweepRunner, trace_fingerprint
 from repro.sim.simulator import simulate_node
 from repro.traces.compile import compile_streams
@@ -159,14 +160,20 @@ class TestMixedBatch:
                           "utlb"),
                 SweepCell("intr", traces, base.replace(cache_entries=64),
                           "intr"),
+                SweepCell("intr-limited", traces,
+                          base.replace(cache_entries=64,
+                                       memory_limit_bytes=16
+                                       * params.PAGE_SIZE), "intr"),
                 SweepCell("ref", traces,
                           base.replace(cache_entries=64,
                                        engine="reference"), "utlb"),
             ]
 
-        runner = assert_cells_identical(cells, analytic_cells=2)
+        runner = assert_cells_identical(cells, analytic_cells=3)
         flags = [c.analytic for c in runner.metrics.cells]
-        assert flags == [True, True, False, False, False]
+        assert flags == [True, True, False, True, False, False]
+        # The unlimited intr cell rides the utlb cells' cache axis.
+        assert runner.metrics.analytic_axes == 1
 
     def test_solved_cells_land_in_cache(self, tmp_path):
         traces = synth_trace(9)
@@ -226,7 +233,10 @@ class TestPlanner:
     def test_eligibility_rules(self):
         config = SimConfig()
         assert cell_eligible(config, "utlb")
-        assert not cell_eligible(config, "intr")
+        assert cell_eligible(config, "intr")
+        assert not cell_eligible(
+            config.replace(memory_limit_bytes=8 * params.PAGE_SIZE), "intr")
+        assert not cell_eligible(config.replace(engine="reference"), "intr")
         assert not cell_eligible(config, "pp")
         assert not cell_eligible(config.replace(engine="reference"), "utlb")
         assert not cell_eligible(config.replace(classify=True), "utlb")
@@ -320,7 +330,10 @@ class TestPlanner:
         cells = [
             SweepCell("r0", traces, base.replace(cache_entries=64), "pp"),
             SweepCell("a0", traces, base.replace(cache_entries=64), "utlb"),
-            SweepCell("r1", traces, base.replace(cache_entries=64), "intr"),
+            SweepCell("r1", traces,
+                      base.replace(cache_entries=64,
+                                   memory_limit_bytes=8 * params.PAGE_SIZE),
+                      "intr"),
             SweepCell("a1", traces, base.replace(cache_entries=128),
                       "utlb"),
         ]
@@ -378,7 +391,7 @@ class TestStackProperties:
     def test_misses_monotone_in_associativity(self, accesses):
         compiled = compile_streams(_records(accesses))
         spec = {"kind": "cache",
-                "geometries": [[16 * assoc, assoc, True]
+                "geometries": [[16 * assoc, assoc, True, "utlb"]
                                for assoc in (1, 2, 4, 8)],
                 "unit_costs": DEFAULT_COST_MODEL.unit_costs()}
         nodes = solve_axis_node(compiled, spec)
@@ -407,16 +420,21 @@ class TestStackProperties:
     @settings(deadline=None)
     @given(accesses=ACCESSES,
            assoc=st.sampled_from([1, 2, 4]),
-           offsetting=st.booleans())
+           offsetting=st.booleans(),
+           mechanism=st.sampled_from(["utlb", "intr"]))
     def test_singleton_cache_cell_matches_fast_engine(self, accesses,
-                                                      assoc, offsetting):
+                                                      assoc, offsetting,
+                                                      mechanism):
+        if mechanism == "intr":
+            assoc = 1               # the baseline's fast path is direct-mapped
         records = _records(accesses)
         compiled = compile_streams(records)
         config = SimConfig(cache_entries=16 * assoc, associativity=assoc,
-                           offsetting=offsetting)
+                           offsetting=offsetting, mechanism=mechanism)
         spec = {"kind": "cache",
-                "geometries": [[config.cache_entries, assoc, offsetting]],
+                "geometries": [[config.cache_entries, assoc, offsetting,
+                                mechanism]],
                 "unit_costs": config.cost_model.unit_costs()}
         solved = solve_axis_node(compiled, spec)[0]
-        replayed = simulate_node(records, config).to_dict()
+        replayed = resolve(mechanism).simulate(records, config).to_dict()
         assert solved == replayed

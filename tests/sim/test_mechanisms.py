@@ -95,10 +95,15 @@ class TestRegistry:
         assert not resolve("pp").streams_eligible(config)
         assert not resolve("pp").analytic_eligible(config)
 
-    def test_analytic_is_utlb_only(self):
+    def test_analytic_is_utlb_and_unlimited_intr(self):
         config = SimConfig()
         assert resolve("utlb").analytic_eligible(config)
-        for name in ("intr",) + NEW_NAMES:
+        intr = config.replace(mechanism="intr")
+        assert resolve("intr").analytic_eligible(intr)
+        # Pinning-limited intr unpins FIFO: not a stack algorithm.
+        assert not resolve("intr").analytic_eligible(
+            intr.replace(memory_limit_bytes=64 * 4096))
+        for name in NEW_NAMES:
             assert not resolve(name).analytic_eligible(
                 config.replace(mechanism=name))
 

@@ -257,12 +257,15 @@ class TestMetrics:
         compile/replay split to top-level metric fields.  The per-cell
         ``kernel`` key survives for report readers, always False."""
         runner = SweepRunner()
+        limited = config.replace(memory_limit_bytes=64 * 4096)
         runner.run(traces, config)                      # cache axis of one
-        runner.run(traces, config.replace(memory_limit_bytes=64 * 4096))
-        runner.run(traces, config, mechanism="intr")    # fast replay
+        runner.run(traces, limited)                     # memory axis of one
+        runner.run(traces, config, mechanism="intr")    # cache axis of one
+        runner.run(traces, limited, mechanism="intr")   # fast replay
         report = runner.metrics.to_dict()
-        solved, limited, replayed = report["cells"]
+        solved, limited, intr, replayed = report["cells"]
         assert solved["analytic"] and limited["analytic"]
+        assert intr["analytic"]
         assert not replayed["analytic"]
         for cell in report["cells"]:
             assert cell["kernel"] is False
