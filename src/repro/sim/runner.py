@@ -238,20 +238,22 @@ def _py_files(*parts):
             if name.endswith(".py")]
 
 
-def synth_version():
-    """Digest of the source a synthetic trace's records are built from.
-
-    Covers the generators (``repro/traces/synth/*.py``), the record
-    type and merge, and ``repro.params``.  Computed on first use, not
-    at import.
-    """
-    global _SYNTH_VERSION
-    if _SYNTH_VERSION is None:
-        _SYNTH_VERSION = _digest_files(
-            _py_files("traces", "synth")
+def _synth_files():
+    """The source a synthetic trace's records are built from: the
+    generators (``repro/traces/synth/*.py``, the zipf-kv sampler
+    included), the record type and merge, and ``repro.params``."""
+    return (_py_files("traces", "synth")
             + [os.path.join(_REPRO_DIR, "traces", name)
                for name in ("merge.py", "record.py")]
             + [os.path.join(_REPRO_DIR, "params.py")])
+
+
+def synth_version():
+    """Digest of :func:`_synth_files`, computed on first use, not at
+    import."""
+    global _SYNTH_VERSION
+    if _SYNTH_VERSION is None:
+        _SYNTH_VERSION = _digest_files(_synth_files())
     return _SYNTH_VERSION
 
 

@@ -1,36 +1,38 @@
-"""Parallel trace generation: per-process streams fanned out to workers.
+"""Parallel trace generation: per-process streams, one vectorized merge.
 
-Trace *generation* is the last record-at-a-time pass on the scale
-benchmark's critical path: the zipf draws and timestamp walks are pure
-Python, and one process's stream cannot be vectorized (every draw feeds
-the next).  But a node's trace is *defined* as the timestamp merge of
-per-process streams that are each an independent function of ``(seed,
-node, local_index)`` — the :meth:`iter_processes` protocol exposes
-exactly that factorization — so the streams can be generated in
-parallel worker processes and only their flat arrays shipped home.
+A node's trace is *defined* as the timestamp merge of per-process
+streams that are each an independent function of ``(seed, node,
+local_index)`` — the :meth:`iter_processes` protocol exposes exactly
+that factorization — so each stream can be generated on its own (in a
+worker process, or in-process) as flat arrays, and only the merge needs
+the whole node.  Within one process every draw feeds the next; the
+``zipf-kv`` sampler still decodes a stream in numpy blocks (it replays
+the process's Mersenne Twister words, see
+:mod:`repro.traces.synth.zipf`), and hands its arrays over whole.
 
 :func:`compile_node_parallel` runs that pipeline end to end: each
-worker generates one process's records and returns ``(pid, timestamps,
-pages)`` as raw ``uint64`` buffers (one entry per translation lookup,
-multi-page records pre-expanded); the parent reproduces the merge
+stream becomes ``(pid, timestamps, pages)`` as ``uint64`` arrays (one
+entry per translation lookup, multi-page records pre-expanded;
+:func:`generate_process_arrays`); the merge is reproduced
 vectorized — the ordering contract sorts records by ``(timestamp, pid,
 stream index, arrival order)``, and since every pid lives in exactly
 one stream, a *stable* argsort over ``(timestamp, pid-rank)`` of the
 stream-ordered concatenation serializes identically — and assembles a
 :class:`~repro.traces.compile.CompiledStreams` **byte-identical** to
 ``compile_streams(workload.iter_node(...))``: per-pid streams are the
-workers' page arrays verbatim (a merge never reorders within one pid),
+generated page arrays verbatim (a merge never reorders within one pid),
 ``pid_order`` falls out of each pid's first merged position, and the
 interleaved flat arrays out of the sort permutation.
 
-Workers prefer the ``iter_page_streams`` protocol — the pre-record form
-that yields ``(timestamp, page)`` pairs directly — which halves
-generation cost by never constructing (or re-parsing) record objects;
-workloads exposing only ``iter_processes`` take the record form with
-``record.pages()`` expansion.  With ``workers <= 1`` (notably on a
-single-CPU host, where a pool is pure overhead) the same per-process
-array generation runs in-process and still beats the record-at-a-time
-merge.  That in-process form is also how
+Generation prefers the ``iter_page_streams`` protocol — the pre-record
+form that yields ``(timestamp, page)`` pairs directly, or offers the
+stream's arrays outright — and never constructs (or re-parses) a
+record object; workloads exposing only ``iter_processes`` take the
+record form with ``record.pages()`` expansion.  With ``workers > 1``
+the streams are generated in a process pool and shipped home as raw
+bytes; with ``workers <= 1`` (notably on a single-CPU host, where a
+pool is pure overhead) they are generated in-process and their arrays
+go to the merge as they are.  That in-process form is also how
 :func:`~repro.traces.compile.compile_streams` compiles every
 ``StreamingNodeTrace``, so the sweep runner and this module share one
 merge.  Without either protocol, the function degrades to the streaming
@@ -53,50 +55,60 @@ _TS_KEY_LIMIT = 1 << 48
 
 
 def generate_process_arrays(workload, node, seed, scale, index):
-    """Generate one process's stream as ``(pid, ts bytes, page bytes)``.
+    """Generate one process's stream as ``(pid, timestamps, pages)``.
 
-    The worker-side half of the pipeline (also the pool ``map`` target):
-    drains stream ``index`` of the workload into two flat ``uint64``
-    arrays with one entry per translation lookup, verifying timestamp
-    sortedness as it drains (like the lazy merge would).  Prefers the
-    pre-record ``iter_page_streams`` form; falls back to
-    ``iter_processes`` records with ``record.pages()`` expansion.
+    The generation half of the pipeline: stream ``index`` of the
+    workload as two flat ``uint64`` numpy arrays with one entry per
+    translation lookup, timestamp order verified on the arrays (like the
+    lazy merge would).  Prefers the pre-record ``iter_page_streams``
+    form, and takes a stream's own ``arrays()`` when it offers them
+    (``zipf-kv``'s sampler does) instead of draining it pair by pair;
+    falls back to ``iter_processes`` records with ``record.pages()``
+    expansion.  ``pid`` is None for an empty stream.
     """
-    ts = array("Q")
-    pages = array("Q")
-    append_ts = ts.append
-    append_page = pages.append
-    last = float("-inf")
+    import numpy
     if hasattr(workload, "iter_page_streams"):
         pid, stream = workload.iter_page_streams(
             node, seed=seed, scale=scale)[index]
-        for t, page in stream:
-            if t < last:
-                raise TraceError(
-                    "stream %d not timestamp-sorted at t=%r" % (index, t))
-            last = t
-            append_ts(t)
-            append_page(page)
-        if not pages:
+        arrays = getattr(stream, "arrays", None)
+        if arrays is not None:
+            ts, pages = arrays()
+        else:
+            ts = array("Q")
+            pages = array("Q")
+            append_ts = ts.append
+            append_page = pages.append
+            for t, page in stream:
+                append_ts(t)
+                append_page(page)
+        if not len(pages):
             pid = None
-        return pid, ts.tobytes(), pages.tobytes()
-    stream = workload.iter_processes(node, seed=seed, scale=scale)[index]
-    pid = None
-    for record in stream:
-        t = record.timestamp
-        if t < last:
-            raise TraceError(
-                "stream %d not timestamp-sorted at t=%r" % (index, t))
-        last = t
-        pid = record.pid
-        for page in record.pages():
-            append_ts(t)
-            append_page(page)
-    return pid, ts.tobytes(), pages.tobytes()
+    else:
+        stream = workload.iter_processes(node, seed=seed,
+                                         scale=scale)[index]
+        pid = None
+        ts = array("Q")
+        pages = array("Q")
+        append_ts = ts.append
+        append_page = pages.append
+        for record in stream:
+            t = record.timestamp
+            pid = record.pid
+            for page in record.pages():
+                append_ts(t)
+                append_page(page)
+    ts = numpy.frombuffer(ts, dtype=numpy.uint64)
+    pages = numpy.frombuffer(pages, dtype=numpy.uint64)
+    backwards = numpy.flatnonzero(ts[1:] < ts[:-1])
+    if len(backwards):
+        raise TraceError("stream %d not timestamp-sorted at t=%r"
+                         % (index, int(ts[backwards[0] + 1])))
+    return pid, ts, pages
 
 
 def _worker(args):
-    return generate_process_arrays(*args)
+    pid, ts, pages = generate_process_arrays(*args)
+    return pid, ts.tobytes(), pages.tobytes()
 
 
 def default_generation_workers():
@@ -132,7 +144,9 @@ def compile_node_parallel(workload, node=0, seed=0, scale=1.0,
     if workers > 1 and count > 1:
         context = get_context(mp_context)
         with context.Pool(processes=min(workers, count)) as pool:
-            produced = pool.map(_worker, jobs)
+            produced = [(pid, numpy.frombuffer(ts, dtype=numpy.uint64),
+                         numpy.frombuffer(pages, dtype=numpy.uint64))
+                        for pid, ts, pages in pool.map(_worker, jobs)]
     else:
         produced = [generate_process_arrays(*job) for job in jobs]
 
@@ -141,13 +155,13 @@ def compile_node_parallel(workload, node=0, seed=0, scale=1.0,
     pids_in_order = []
     ts_parts = []
     page_parts = []
-    for pid, ts_bytes, page_bytes in produced:
+    for pid, ts, pages in produced:
         if pid is None:
             continue
         pids_in_order.append(pid)
-        ts_parts.append(numpy.frombuffer(ts_bytes, dtype=numpy.uint64))
-        page_parts.append(numpy.frombuffer(page_bytes,
-                                           dtype=numpy.uint64))
+        ts_parts.append(ts)
+        page_parts.append(pages)
+    del produced
     if not pids_in_order:
         return CompiledStreams([], {}, [], array("H"), array("Q"), 0)
     if len(set(pids_in_order)) != len(pids_in_order):
@@ -190,15 +204,15 @@ def compile_node_parallel(workload, node=0, seed=0, scale=1.0,
         dense_of_rank[uniq[i]] = dense
 
     index_stream = array("H")
-    index_stream.frombytes(dense_of_rank[ranks_merged].tobytes())
+    index_stream.frombytes(dense_of_rank[ranks_merged].view(numpy.uint8))
     del ranks_merged
     pages_all = numpy.concatenate(page_parts)
     page_stream = array("Q")
-    page_stream.frombytes(pages_all[order].tobytes())
+    page_stream.frombytes(pages_all[order].view(numpy.uint8))
     del pages_all, order
     streams = {}
     for pid, part in zip(pids_in_order, page_parts):
         stream = streams[pid] = array("Q")
-        stream.frombytes(part.tobytes())
+        stream.frombytes(part.view(numpy.uint8))
     return CompiledStreams(pids_sorted, streams, pid_order, index_stream,
                            page_stream, len(page_stream))

@@ -27,28 +27,34 @@ service:
   workers with probability ``shared_fraction`` per request — the
   cross-process contention component.
 
+Every draw is a deterministic function of ``(seed, node, process)``,
+like the SPLASH-2 generators: same inputs, byte-identical trace.  Each
+server process draws its requests on its own ``random.Random``, in the
+order a per-draw loop would (``random()``, ``randrange`` and
+``bisect_left`` over the zipf CDFs).  The sampler
+(:mod:`repro.traces.synth.zipf_sampler`) produces exactly those draws
+without that loop: it takes the generator's raw 32-bit Mersenne Twister
+words a block at a time, decodes every draw and request boundary in
+numpy, and walks the chain of request starts with one cheap step per
+request.
+
 Generation is **streaming-only by construction**: per-process lazy
-generators merged by timestamp (:func:`merge_record_streams`), sized so
-the zipf distribution tables are O(tenants + skew_variants *
-pages_per_tenant) — a function of the *footprint knobs*, never of the
-trace length.  ``generate_node`` (the eager list form) exists for small
+streams (:class:`ZipfPageStream`, drawn block by block) merged by
+timestamp (:func:`merge_record_streams`), or handed to the parallel
+compile as whole arrays.  The zipf distribution tables are O(tenants +
+skew_variants * pages_per_tenant) — a function of the *footprint
+knobs*, never of the trace length — and the sampler's transients are
+O(block).  ``generate_node`` (the eager list form) exists for small
 instances and tests; headline-scale traces should flow through
 :meth:`streaming_node` into ``StreamCompiler``/``SweepRunner``, where
 peak memory stays O(compiled size).
-
-Every draw is a deterministic function of ``(seed, node, process)``,
-like the SPLASH-2 generators: same inputs, byte-identical trace.
 """
-
-import random
-from bisect import bisect_left
 
 from repro import params
 from repro.errors import ConfigError
 from repro.traces.merge import merge_record_streams
 from repro.traces.synth.base import (
     DATA_BASE,
-    MEAN_GAP_US,
     StreamingNodeTrace,
     page_record_stream,
 )
@@ -75,6 +81,47 @@ def _zipf_cdf(population, exponent):
             cdf.append(total)
         _CDF_CACHE[key] = cdf
     return cdf
+
+
+class ZipfPageStream:
+    """One server process's lazy ``(timestamp, page)`` stream.
+
+    Building one draws nothing (stream lists are built just to be
+    counted); iterating runs the sampler and yields the pairs chunk by
+    chunk, and :meth:`arrays` returns the whole stream as two uint64
+    arrays, which array consumers take instead of iterating.
+    """
+
+    __slots__ = ("workload", "rng_seed", "tenants", "lookups")
+
+    def __init__(self, workload, rng_seed, tenants, lookups):
+        self.workload = workload
+        self.rng_seed = rng_seed
+        self.tenants = tenants
+        self.lookups = lookups
+
+    def _blocks(self):
+        # The sampler is imported on first use, like numpy: importing
+        # the workload registry must stay cheap.
+        from repro.traces.synth.zipf_sampler import sample_blocks
+        return sample_blocks(self.workload, self.rng_seed, self.tenants,
+                             self.lookups)
+
+    def __iter__(self):
+        for stamps, pages in self._blocks():
+            yield from zip(stamps.tolist(), pages.tolist())
+
+    def arrays(self):
+        """``(timestamps, pages)``: uint64 arrays, one entry a lookup."""
+        import numpy
+        stamps = numpy.empty(self.lookups, dtype=numpy.uint64)
+        pages = numpy.empty(self.lookups, dtype=numpy.uint64)
+        done = 0
+        for stamp_chunk, page_chunk in self._blocks():
+            stamps[done:done + len(stamp_chunk)] = stamp_chunk
+            pages[done:done + len(page_chunk)] = page_chunk
+            done += len(stamp_chunk)
+        return stamps, pages
 
 
 class ZipfKVWorkload:
@@ -166,7 +213,10 @@ class ZipfKVWorkload:
         """The page-popularity exponent of one tenant (its skew knob)."""
         if self.skew_variants == 1 or self.skew_spread == 0.0:
             return self.page_exponent
-        variant = (tenant * _TENANT_MIX) % self.skew_variants
+        return self._variant_exponent(
+            (tenant * _TENANT_MIX) % self.skew_variants)
+
+    def _variant_exponent(self, variant):
         fraction = variant / (self.skew_variants - 1)
         return self.page_exponent * (1.0
                                      + self.skew_spread * (fraction - 0.5))
@@ -191,10 +241,9 @@ class ZipfKVWorkload:
         streams = []
         for local_index in range(self.server_processes):
             pid = node * params.MAX_PROCESSES_PER_NIC + local_index
-            rng = random.Random(
-                (seed * 2000003 + node) * 37 + local_index)
-            streams.append((pid,
-                            self._process_pages(rng, tenants, lookups)))
+            streams.append((pid, ZipfPageStream(
+                self, (seed * 2000003 + node) * 37 + local_index,
+                tenants, lookups)))
         return streams
 
     def iter_processes(self, node=0, seed=0, scale=1.0):
@@ -237,35 +286,6 @@ class ZipfKVWorkload:
         """Per-node streaming traces: ``{node: StreamingNodeTrace}``."""
         return {node: self.streaming_node(node, seed=seed, scale=scale)
                 for node in range(nodes)}
-
-    def _process_pages(self, rng, tenants, lookups):
-        """One server process: lazy zipf-over-zipf ``(timestamp, page)``
-        draws (pages absolute, offset to the SPMD data region)."""
-        tenant_cdf = _zipf_cdf(tenants, self.tenant_exponent)
-        tenant_total = tenant_cdf[-1]
-        base_page = DATA_BASE >> params.PAGE_SHIFT
-        ppt = self.pages_per_tenant
-        shared = self.shared_pages
-        shared_fraction = self.shared_fraction
-        random_draw = rng.random
-        randrange = rng.randrange
-        gap_lo = MEAN_GAP_US // 2
-        gap_hi = MEAN_GAP_US + MEAN_GAP_US // 2
-        timestamp = randrange(0, MEAN_GAP_US)
-        for _ in range(lookups):
-            if shared and random_draw() < shared_fraction:
-                page = randrange(shared)
-            else:
-                tenant = bisect_left(tenant_cdf,
-                                     random_draw() * tenant_total)
-                page_cdf = _zipf_cdf(ppt,
-                                     self.tenant_page_exponent(tenant))
-                rank = bisect_left(page_cdf, random_draw() * page_cdf[-1])
-                page = (shared + tenant * ppt
-                        + (self._tenant_offset(tenant) + rank) % ppt)
-            yield timestamp, base_page + page
-            timestamp += randrange(gap_lo, gap_hi)
-
 
     # -- reporting ---------------------------------------------------------------------
 

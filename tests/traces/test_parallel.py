@@ -9,6 +9,7 @@ itself: the pre-record ``(timestamp, page)`` form and the record form
 must describe the same trace.
 """
 
+import numpy
 import pytest
 
 from repro.errors import TraceError
@@ -113,14 +114,73 @@ class TestPageStreamProtocol:
         assert wrapped == direct
 
 
+class ArrayStream:
+    """A page stream that offers its arrays, as the zipf sampler does;
+    iterating it is an error, so the array path must be taken."""
+
+    def __init__(self, stamps, pages):
+        self._arrays = (numpy.array(stamps, dtype=numpy.uint64),
+                        numpy.array(pages, dtype=numpy.uint64))
+
+    def arrays(self):
+        return self._arrays
+
+    def __iter__(self):
+        raise AssertionError("an array stream was iterated")
+
+
+class ArrayStreams:
+    def __init__(self, *streams):
+        self._streams = streams
+
+    def iter_page_streams(self, node=0, seed=0, scale=1.0):
+        return list(self._streams)
+
+
 class TestWorkerArrays:
     def test_unsorted_stream_rejected(self):
         class Unsorted:
             def iter_page_streams(self, node=0, seed=0, scale=1.0):
                 return [(0, iter([(5, 10), (3, 11)]))]
 
-        with pytest.raises(TraceError):
+        with pytest.raises(TraceError, match="stream 0 .* t=3"):
             generate_process_arrays(Unsorted(), 0, 0, 1.0, 0)
+
+    def test_unsorted_array_stream_rejected(self):
+        workload = ArrayStreams(
+            (0, ArrayStream([1, 2], [9, 9])),
+            (1, ArrayStream([4, 6, 6, 5, 2], [9, 9, 9, 9, 9])))
+        assert generate_process_arrays(workload, 0, 0, 1.0, 0)[0] == 0
+        with pytest.raises(TraceError, match="stream 1 .* t=5"):
+            generate_process_arrays(workload, 0, 0, 1.0, 1)
+
+    def test_unsorted_record_stream_rejected(self):
+        records = [TraceRecord(timestamp=t, node=0, pid=2, op="send",
+                               vaddr=0x10000000, nbytes=1)
+                   for t in (0, 4, 3)]
+
+        class Records:
+            def iter_processes(self, node=0, seed=0, scale=1.0):
+                return [iter(records)]
+
+        with pytest.raises(TraceError, match="stream 0 .* t=3"):
+            generate_process_arrays(Records(), 0, 0, 1.0, 0)
+
+    def test_array_stream_taken_whole(self):
+        pid, ts, pages = generate_process_arrays(
+            ArrayStreams((5, ArrayStream([1, 1, 3], [7, 8, 7]))),
+            0, 0, 1.0, 0)
+        assert pid == 5
+        assert ts.tolist() == [1, 1, 3]
+        assert pages.tolist() == [7, 8, 7]
+
+    def test_empty_array_stream_has_no_pid(self):
+        workload = ArrayStreams((3, ArrayStream([], [])),
+                                (4, ArrayStream([0, 2], [9, 9])))
+        assert generate_process_arrays(workload, 0, 0, 1.0, 0)[0] is None
+        compiled = compile_node_parallel(workload, workers=1)
+        assert compiled.pids == [4]
+        assert compiled.total_pages == 2
 
     def test_duplicate_pid_rejected(self):
         class Duplicated:
@@ -166,7 +226,7 @@ class TestWorkerArrays:
             def iter_processes(self, node=0, seed=0, scale=1.0):
                 return [iter(records)]
 
-        pid, ts_bytes, page_bytes = generate_process_arrays(
-            TwoRecords(), 0, 0, 1.0, 0)
+        pid, ts, pages = generate_process_arrays(TwoRecords(), 0, 0, 1.0, 0)
         assert pid == 2
-        assert len(page_bytes) // 8 == 4
+        assert ts.tolist() == [0, 0, 0, 1]
+        assert pages.tolist() == [0x10000, 0x10001, 0x10002, 0x10001]
